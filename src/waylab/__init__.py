@@ -1,8 +1,8 @@
 """Measurement under a U(1) conservation law: asymmetry resources, covariant
 discrimination, and explicit conserving readout circuits."""
 
-from .graded import (EPS_NUM, BlockState, GradedSpace, Observable, PureState,
-                     TensorMap, coherent_state, expectation, g_twirl,
+from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
+                     Observable, PureState, coherent_state, expectation, g_twirl,
                      number_operator, opt_phase_state, phase_rotation,
                      sector_projector, tensor, uniform_state, variance)
 from .convert import (ChargeDistribution, Comparison, ConversionCertificate,

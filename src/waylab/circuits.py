@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import (EPS_NUM, GradedSpace, Observable, _freeze,
-                     number_operator, tensor, uniform_state)
+from .graded import (EPS_NUM, CompositeSpace, GradedSpace, Observable, _freeze,
+                     number_operator, uniform_state)
 from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
@@ -38,49 +38,34 @@ __all__ = [
     "simulate_measurement",
     "verify_conservation",
     "verify_yanase",
+    "unitarity_deviation",
     "model_manifest",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class CompositeSpace:
-    """A chain of graded wires with its charge-major composite ordering.
+def unitarity_deviation(u: np.ndarray) -> float:
+    """Largest entry of |U^dagger U - 1|; zero for a unitary."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
-    ``kron_index[g]`` is the flat multi-wire Kronecker index of composite
-    basis vector ``g``; ``wire_dims`` are the plain wire dimensions.
+
+def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Spectral norm of [A, B]."""
+    return float(np.linalg.norm(a @ b - b @ a, 2))
+
+
+def _pointer_diagonal(composite: CompositeSpace, pointer: dict[str, np.ndarray],
+                      values: dict[str, float] | None = None) -> np.ndarray:
+    """Pointer observable as a diagonal over the composite basis.
+
+    The trailing wires of ``composite`` must be the register bank the pointer
+    masks live on, so the register index is the Kronecker index modulo the
+    bank dimension.  ``values`` default to :data:`POINTER_VALUES`.
     """
-
-    wires: tuple[GradedSpace, ...]
-    space: GradedSpace
-    kron_index: np.ndarray
-
-    @staticmethod
-    def of(wires: tuple[GradedSpace, ...] | list[GradedSpace]) -> "CompositeSpace":
-        wires = tuple(wires)
-        if not wires:
-            raise ValueError("need at least one wire")
-        space = wires[0]
-        index = np.arange(space.total_dim, dtype=np.int64)
-        for wire in wires[1:]:
-            tm = tensor(space, wire)
-            prev, cur = divmod(tm.kron_index, wire.total_dim)
-            index = index[prev] * wire.total_dim + cur
-            space = tm.space
-        return CompositeSpace(wires, space, _freeze(index))
-
-    @property
-    def wire_dims(self) -> tuple[int, ...]:
-        return tuple(w.total_dim for w in self.wires)
-
-    def to_graded_matrix(self, kron_mat: np.ndarray) -> np.ndarray:
-        return np.asarray(kron_mat, dtype=complex)[np.ix_(self.kron_index, self.kron_index)]
-
-    def to_kron_matrix(self, graded_mat: np.ndarray) -> np.ndarray:
-        inv = np.argsort(self.kron_index)
-        return np.asarray(graded_mat, dtype=complex)[np.ix_(inv, inv)]
-
-    def to_graded_vector(self, kron_vec: np.ndarray) -> np.ndarray:
-        return np.asarray(kron_vec, dtype=complex)[self.kron_index]
+    values = POINTER_VALUES if values is None else values
+    zreg = np.zeros(len(next(iter(pointer.values()))))
+    for label, mask in pointer.items():
+        zreg += values.get(label, 0.0) * mask
+    return zreg[composite.kron_index % zreg.size]
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +81,9 @@ class ConservingUnitary:
         d = self.space.total_dim
         if m.shape != (d, d):
             raise ValueError("matrix does not match space dimension")
-        if np.max(np.abs(m.conj().T @ m - np.eye(d))) > EPS_NUM:
+        if unitarity_deviation(m) > EPS_NUM:
             raise ValueError("matrix is not unitary within tolerance")
-        n = self.charge_observable.matrix
-        if np.linalg.norm(m @ n - n @ m, 2) > EPS_NUM:
+        if _commutator_norm(m, self.charge_observable.matrix) > EPS_NUM:
             raise ValueError("matrix does not conserve the total charge")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -142,36 +126,24 @@ class MeasurementModel:
     def apparatus_wires(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.composite.wires)) if i != self.system_wire)
 
-    def pointer_diagonal(self, values: dict[str, float] | None = None) -> np.ndarray:
-        """Pointer observable as a diagonal over the full multi-wire basis."""
-        values = POINTER_VALUES if values is None else values
-        dims = self.composite.wire_dims
-        reg_dim = int(np.prod(dims[-self.register_count:]))
-        zreg = np.zeros(reg_dim)
-        for label, mask in self.pointer.items():
-            zreg += values.get(label, 0.0) * mask
-        rest = int(np.prod(dims[:-self.register_count]))
-        return np.kron(np.ones(rest), zreg)
+    def apparatus(self) -> CompositeSpace:
+        """The composite of every wire but the system, in wire order."""
+        return CompositeSpace.of([self.composite.wires[i] for i in self.apparatus_wires()])
 
     def pointer_observable(self, values: dict[str, float] | None = None) -> Observable:
-        diag = self.pointer_diagonal(values)[self.composite.kron_index]
+        diag = _pointer_diagonal(self.composite, self.pointer, values)
         return Observable(self.composite.space, np.diag(diag))
 
     def outcome_projector(self, label: str) -> np.ndarray:
         """Graded-basis projector onto the pointer eigenspace of an outcome."""
-        dims = self.composite.wire_dims
-        rest = int(np.prod(dims[:-self.register_count]))
-        diag = np.kron(np.ones(rest), self.pointer[label])[self.composite.kron_index]
+        diag = _pointer_diagonal(self.composite, self.pointer, {label: 1.0})
         return np.diag(diag.astype(complex))
 
     def system_operator_full(self, op: np.ndarray) -> np.ndarray:
         """Promote a system-wire operator to the composite graded basis."""
-        mats = [np.asarray(op, dtype=complex) if i == self.system_wire
-                else np.eye(d) for i, d in enumerate(self.composite.wire_dims)]
-        full = mats[0]
-        for m_ in mats[1:]:
-            full = np.kron(full, m_)
-        return self.composite.to_graded_matrix(full)
+        return self.composite.promote(*(
+            np.asarray(op, dtype=complex) if i == self.system_wire else np.eye(d)
+            for i, d in enumerate(self.composite.wire_dims)))
 
     def initial_density_full(self, system_rho: np.ndarray) -> np.ndarray:
         """rho_system (x) apparatus-init, in the composite graded basis."""
@@ -179,21 +151,15 @@ class MeasurementModel:
         ds = self.system_space.total_dim
         if rho.shape != (ds, ds):
             raise ValueError("system state has wrong dimension")
-        full = None
-        for i, vec in enumerate(self.init):
-            part = rho if i == self.system_wire else np.outer(vec, vec.conj())
-            full = part if full is None else np.kron(full, part)
-        return self.composite.to_graded_matrix(full)
+        return self.composite.promote(*(
+            rho if i == self.system_wire else np.outer(vec, vec.conj())
+            for i, vec in enumerate(self.init)))
 
     def apparatus_state_and_charge(self) -> tuple[np.ndarray, Observable, GradedSpace]:
         """Initial apparatus density, its number operator and its graded space."""
-        app = CompositeSpace.of([self.composite.wires[i] for i in self.apparatus_wires()])
-        vec = None
-        for i in self.apparatus_wires():
-            v = self.init[i]
-            vec = v if vec is None else np.kron(vec, v)
-        return (np.outer(vec, vec.conj())[np.ix_(app.kron_index, app.kron_index)],
-                number_operator(app.space), app.space)
+        app = self.apparatus()
+        rho = app.pure(*(self.init[i] for i in self.apparatus_wires())).density()
+        return rho, number_operator(app.space), app.space
 
     def noise(self, system_rho: np.ndarray,
               values: dict[str, float] | None = None) -> float:
@@ -264,16 +230,11 @@ def _register_mask(num_wires: int, bits: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
-def _register_basis_vector(num_wires: int, bits: tuple[int, ...]) -> np.ndarray:
-    return _register_mask(num_wires, bits).astype(complex)
-
-
 def _assemble(kind: str, m: int, wires: list[GradedSpace], system_wire: int,
               register_count: int, init: list[np.ndarray | None],
               v_kron: np.ndarray, pointer: dict[str, np.ndarray]) -> MeasurementModel:
     comp = CompositeSpace.of(wires)
-    v_graded = comp.to_graded_matrix(v_kron)
-    unitary = ConservingUnitary(comp.space, v_graded, number_operator(comp.space))
+    unitary = ConservingUnitary(comp.space, comp.matrix(v_kron), number_operator(comp.space))
     return MeasurementModel(kind=kind, m=m, composite=comp, system_wire=system_wire,
                             register_count=register_count, init=tuple(init),
                             unitary=unitary, pointer=pointer)
@@ -299,8 +260,8 @@ def build_ud_unitary(m: int) -> MeasurementModel:
     minus = _register_mask(3, (0, 1, 0))
     pointer = {"plus": plus, "minus": minus, "fail": np.ones(8) - plus - minus}
     init = [uniform_state(m).amplitudes, None,
-            _register_basis_vector(1, (0,)), _register_basis_vector(1, (0,)),
-            _register_basis_vector(1, (1,))]
+            _register_mask(1, (0,)), _register_mask(1, (0,)),
+            _register_mask(1, (1,))]
     return _assemble("ud", m, wires, 1, 3, init, v_kron, pointer)
 
 
@@ -321,7 +282,7 @@ def build_mle_unitary(m: int) -> MeasurementModel:
     plus = _register_mask(2, (1, 0))
     pointer = {"plus": plus, "minus": np.ones(4) - plus}
     init = [uniform_state(m).amplitudes, None,
-            _register_basis_vector(1, (0,)), _register_basis_vector(1, (1,))]
+            _register_mask(1, (0,)), _register_mask(1, (1,))]
     return _assemble("mle", m, wires, 1, 2, init, v_kron, pointer)
 
 
@@ -361,8 +322,8 @@ def build_repeatable_variant(m: int) -> MeasurementModel:
     pointer = {"plus": plus, "minus": minus, "fail": np.ones(8) - plus - minus}
     plus_vec, _ = plus_minus_eigenstates()
     init = [uniform_state(m).amplitudes, None, plus_vec.astype(complex),
-            _register_basis_vector(1, (0,)), _register_basis_vector(1, (0,)),
-            _register_basis_vector(1, (1,))]
+            _register_mask(1, (0,)), _register_mask(1, (0,)),
+            _register_mask(1, (1,))]
     return _assemble("repeatable", m, wires, 1, 3, init, v_kron, pointer)
 
 
@@ -411,25 +372,15 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray,
 
 def verify_conservation(unitary: ConservingUnitary) -> float:
     """Spectral norm of [V, N_tot]; zero for a charge-conserving unitary."""
-    v, n = unitary.matrix, unitary.charge_observable.matrix
-    return float(np.linalg.norm(v @ n - n @ v, 2))
+    return _commutator_norm(unitary.matrix, unitary.charge_observable.matrix)
 
 
 def verify_yanase(model: MeasurementModel,
                   values: dict[str, float] | None = None) -> float:
     """Spectral norm of [Z_A, N_A] on the apparatus (pointer vs apparatus charge)."""
-    app_wires = model.apparatus_wires()
-    app = CompositeSpace.of([model.composite.wires[i] for i in app_wires])
-    dims = app.wire_dims
-    reg_dim = int(np.prod(dims[-model.register_count:]))
-    zreg = np.zeros(reg_dim)
-    vals = POINTER_VALUES if values is None else values
-    for label, mask in model.pointer.items():
-        zreg += vals.get(label, 0.0) * mask
-    z_kron = np.kron(np.ones(int(np.prod(dims[:-model.register_count]))), zreg)
-    z = np.diag(z_kron[app.kron_index])
-    n = number_operator(app.space).matrix
-    return float(np.linalg.norm(z @ n - n @ z, 2))
+    app = model.apparatus()
+    z = np.diag(_pointer_diagonal(app, model.pointer, values))
+    return _commutator_norm(z, number_operator(app.space).matrix)
 
 
 def model_manifest(model: MeasurementModel) -> dict:

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import serialize
 from .circuits import (build_mle_unitary, build_repeatable_variant,
-                       build_ud_unitary, simulate_measurement,
-                       verify_conservation, verify_yanase)
+                       build_ud_unitary, model_manifest, simulate_measurement,
+                       unitarity_deviation, verify_conservation, verify_yanase)
 from .convert import (ChargeDistribution, charge_distribution,
                       deterministic_convertible, frameness_entropy,
                       variance_measure)
@@ -29,7 +29,7 @@ from .graded import EPS_NUM, Observable, g_twirl, number_operator
 from .models import (ModelReport, coherent_model, coherent_ud_success_smooth,
                      opt_phase_model, ozawa_bound, ozawa_reference_curve,
                      uniform_model)
-from .serialize import fmt, round_sig
+from .serialize import fmt, matrix_to_json, round_sig
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -223,14 +223,17 @@ _QUBIT_PRESETS = {
 }
 
 
-def _qubit_state(spec: str) -> np.ndarray:
-    if spec in _QUBIT_PRESETS:
-        return _QUBIT_PRESETS[spec].astype(complex)
-    obj = _load_json(spec)
+def _qubit_state(spec) -> np.ndarray:
+    """A qubit vector from a preset name, a qubit-state JSON file or its dict."""
+    if not isinstance(spec, dict):
+        spec = str(spec)
+        if spec in _QUBIT_PRESETS:
+            return _QUBIT_PRESETS[spec].astype(complex)
+        spec = _load_json(spec)
     try:
-        amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
+        amps = np.array([complex(re, im) for re, im in spec["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid qubit state file: {exc}") from exc
+        raise InputError(f"invalid qubit state: {exc}") from exc
     if amps.shape != (2,) or abs(np.linalg.norm(amps) - 1.0) > 1e-6:
         raise InputError("qubit state must be a normalized two-component vector")
     return amps / np.linalg.norm(amps)
@@ -245,10 +248,8 @@ def cmd_circuit(args) -> int:
         raise InputError("m must be >= 1")
     model = _BUILDERS[args.kind](args.m)
     if args.manifest:
-        from .circuits import model_manifest
-        from .serialize import _matrix_to_json
         manifest = model_manifest(model)
-        manifest["unitary"] = _matrix_to_json(model.unitary.matrix)
+        manifest["unitary"] = matrix_to_json(model.unitary.matrix)
         _write(serialize.dumps(manifest), args.out)
         return EXIT_OK
     vec = _qubit_state(args.input)
@@ -256,8 +257,7 @@ def cmd_circuit(args) -> int:
 
     cons = verify_conservation(model.unitary)
     yanase = verify_yanase(model)
-    u = model.unitary.matrix
-    unit = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    unit = unitarity_deviation(model.unitary.matrix)
     outcomes = simulate_measurement(model, rho_in)
     table = {}
     for label in sorted(outcomes):
@@ -294,14 +294,7 @@ def cmd_ozawa(args) -> int:
         if m < 1:
             raise InputError("m must be >= 1")
         model = builder(m)
-        state_spec = obj.get("system_state", "e+")
-        if isinstance(state_spec, dict):
-            amps = np.array([complex(re, im) for re, im in state_spec["amplitudes"]])
-            if amps.shape != (2,) or abs(np.linalg.norm(amps) - 1.0) > 1e-6:
-                raise InputError("system_state must be a normalized qubit vector")
-            vec = amps / np.linalg.norm(amps)
-        else:
-            vec = _qubit_state(str(state_spec))
+        vec = _qubit_state(obj.get("system_state", "e+"))
         rho = np.outer(vec, vec.conj())
         try:
             bound = model.noise_bound(rho)

@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ __all__ = [
     "PureState",
     "Observable",
     "BlockState",
-    "TensorMap",
+    "CompositeSpace",
     "tensor",
     "number_operator",
     "sector_projector",
@@ -124,11 +125,11 @@ class GradedSpace:
     @staticmethod
     def from_charge_list(labels) -> "GradedSpace":
         """Space whose basis carries the given (unsorted) integer charges."""
-        labels = sorted(int(x) for x in labels)
-        if not labels:
+        labels = np.asarray(labels).astype(np.int64)
+        if not labels.size:
             raise ValueError("empty charge list")
-        charges = sorted(set(labels))
-        return GradedSpace(tuple(charges), tuple(labels.count(c) for c in charges))
+        charges, dims = np.unique(labels, return_counts=True)
+        return GradedSpace(tuple(charges.tolist()), tuple(dims.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,28 +237,43 @@ class BlockState:
 
 
 @dataclass(frozen=True, eq=False)
-class TensorMap:
-    """Charge-additive tensor product of two graded spaces.
+class CompositeSpace:
+    """A chain of graded wires under charge addition, in charge-major order.
 
-    The composite basis is ordered by total charge, then by the charge of the
-    first factor, then by the two intra-sector indices.  ``kron_index[g]``
-    gives, for composite basis index ``g``, the index of the same product
-    vector in the plain Kronecker layout ``i_a * dim_b + i_b``.
+    The composite basis is ordered by total charge; inside a total-charge
+    sector, by the composite index of all wires but the last, then by the last
+    wire's index.  ``kron_index[g]`` is the flat multi-wire Kronecker index of
+    composite basis vector ``g``.
     """
 
-    space_a: GradedSpace
-    space_b: GradedSpace
+    wires: tuple[GradedSpace, ...]
     space: GradedSpace
     kron_index: np.ndarray
 
-    def factor_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        db = self.space_b.total_dim
-        return self.kron_index // db, self.kron_index % db
+    @staticmethod
+    def of(wires: tuple[GradedSpace, ...] | list[GradedSpace]) -> "CompositeSpace":
+        wires = tuple(wires)
+        if not wires:
+            raise ValueError("need at least one wire")
+        labels = wires[0].charge_labels()
+        index = np.arange(wires[0].total_dim, dtype=np.int64)
+        # one stable sort per wire: a single sort over all wires at once would
+        # not keep the earlier wires' composite order inside a sector
+        for wire in wires[1:]:
+            d = wire.total_dim
+            total = np.add.outer(labels, wire.charge_labels()).ravel()
+            order = np.argsort(total, kind="stable")
+            labels = total[order]
+            index = np.add.outer(index * d, np.arange(d)).ravel()[order]
+        return CompositeSpace(wires, GradedSpace.from_charge_list(labels), _freeze(index))
 
-    def pure(self, a: PureState | np.ndarray, b: PureState | np.ndarray) -> PureState:
-        va = a.amplitudes if isinstance(a, PureState) else np.asarray(a, dtype=complex)
-        vb = b.amplitudes if isinstance(b, PureState) else np.asarray(b, dtype=complex)
-        return PureState(self.space, np.kron(va, vb)[self.kron_index])
+    @property
+    def wire_dims(self) -> tuple[int, ...]:
+        return tuple(w.total_dim for w in self.wires)
+
+    def factor_indices(self) -> tuple[np.ndarray, ...]:
+        """Per wire, the wire basis index of every composite basis vector."""
+        return np.unravel_index(self.kron_index, self.wire_dims)
 
     def vector(self, kron_vec: np.ndarray) -> np.ndarray:
         return np.asarray(kron_vec, dtype=complex)[self.kron_index]
@@ -266,36 +282,25 @@ class TensorMap:
         m = np.asarray(kron_mat, dtype=complex)
         return m[np.ix_(self.kron_index, self.kron_index)]
 
-    def promote(self, op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
-        """Lift A (x) B into the composite graded basis."""
-        return self.matrix(np.kron(op_a, op_b))
+    def pure(self, *factors: PureState | np.ndarray) -> PureState:
+        """The product state of one vector per wire."""
+        vec = functools.reduce(np.kron, (
+            f.amplitudes if isinstance(f, PureState) else np.asarray(f, dtype=complex)
+            for f in factors))
+        return PureState(self.space, self.vector(vec))
+
+    def promote(self, *ops: np.ndarray) -> np.ndarray:
+        """Lift the product of one operator per wire into the composite basis."""
+        return self.matrix(functools.reduce(np.kron, ops))
 
 
-def tensor(a: GradedSpace, b: GradedSpace) -> TensorMap:
+def tensor(a: GradedSpace, b: GradedSpace) -> CompositeSpace:
     """Tensor two graded spaces under charge addition.
 
     Sector dimensions of the composite follow the convolution
     dim(n) = sum_{n_a + n_b = n} dim_a(n_a) * dim_b(n_b).
     """
-    totals = sorted({na + nb for na in a.charges for nb in b.charges})
-    order: list[int] = []
-    dims: list[int] = []
-    db = b.total_dim
-    for n in totals:
-        count = 0
-        for na in a.charges:
-            nb = n - na
-            if nb not in b.charges:
-                continue
-            for ia in range(a.dim_of(na)):
-                ga = a.offset_of(na) + ia
-                for ib in range(b.dim_of(nb)):
-                    gb = b.offset_of(nb) + ib
-                    order.append(ga * db + gb)
-                    count += 1
-        dims.append(count)
-    space = GradedSpace(tuple(totals), tuple(dims))
-    return TensorMap(a, b, space, _freeze(np.array(order, dtype=np.int64)))
+    return CompositeSpace.of((a, b))
 
 
 def number_operator(space: GradedSpace) -> Observable:

@@ -21,9 +21,9 @@ import numpy as np
 from .discrimination import (Criterion, DiscriminationResult, Ensemble,
                              perfect_discrimination_possible)
 from .discrimination import discriminate as _discriminate
-from .graded import (EPS_NUM, BlockState, GradedSpace, Observable, PureState,
-                     TensorMap, coherent_state, g_twirl, opt_phase_state,
-                     tensor, uniform_state)
+from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
+                     Observable, PureState, coherent_state, g_twirl,
+                     opt_phase_state, tensor, uniform_state)
 
 __all__ = [
     "Verdict",
@@ -159,7 +159,7 @@ def plus_minus_eigenstates() -> tuple[np.ndarray, np.ndarray]:
             np.array([1.0, -1.0]) / math.sqrt(2.0))
 
 
-def twirled_pair_ensemble(resource: PureState) -> tuple[TensorMap, Ensemble]:
+def twirled_pair_ensemble(resource: PureState) -> tuple[CompositeSpace, Ensemble]:
     """Twirl {resource (x) e+, resource (x) e-} with equal priors.
 
     The composite is ordered resource-first, so in total-charge sector n the

@@ -30,7 +30,7 @@ def _complex_pair(z: complex) -> list[float]:
     return [round_sig(z.real), round_sig(z.imag)]
 
 
-def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
+def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[_complex_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
@@ -65,7 +65,7 @@ def state_from_json(obj) -> PureState:
 
 def block_state_to_json(bs: BlockState) -> dict:
     out = space_to_json(bs.space)
-    out["blocks"] = {str(n): _matrix_to_json(bs.blocks[n]) for n in bs.space.charges}
+    out["blocks"] = {str(n): matrix_to_json(bs.blocks[n]) for n in bs.space.charges}
     return out
 
 
@@ -99,7 +99,7 @@ def discrimination_result_to_json(result, include_effects: bool = False) -> dict
     }
     if include_effects:
         out["space"] = space_to_json(result.space)
-        out["effects"] = {label: _matrix_to_json(eff)
+        out["effects"] = {label: matrix_to_json(eff)
                           for label, eff in result.global_effects.items()}
     return out
 

@@ -156,3 +156,51 @@ def random_projective_success(rho_p, rho_m, priors, rng, trials: int = 1000) -> 
 def supports_orthogonal(rho_a, rho_b, tol: float = 1e-9) -> bool:
     """PSD support orthogonality via tr(A B) = 0 (exact criterion for PSD)."""
     return abs(np.trace(np.asarray(rho_a) @ np.asarray(rho_b)).real) <= tol
+
+
+# ---------------------------------------------------------------------------
+# composite basis order
+# ---------------------------------------------------------------------------
+
+def _tensor_order(a, b):
+    """Charge-major order of a (x) b by nested loops over sectors and indices.
+
+    ``a`` and ``b`` are (charges, dims) pairs with strictly increasing charges.
+    Returns the composite (charges, dims) and, per composite basis vector, its
+    Kronecker index ``i_a * dim_b + i_b``: ordered by total charge, then by the
+    charge of ``a``, then by the two intra-sector indices.
+    """
+    (ca, da), (cb, db) = a, b
+    off_a = {c: sum(da[:i]) for i, c in enumerate(ca)}
+    off_b = {c: sum(db[:i]) for i, c in enumerate(cb)}
+    dim_a, dim_b = dict(zip(ca, da)), dict(zip(cb, db))
+    width = sum(db)
+    totals = sorted({na + nb for na in ca for nb in cb})
+    order, dims = [], []
+    for n in totals:
+        count = 0
+        for na in ca:
+            nb = n - na
+            if nb not in dim_b:
+                continue
+            for ia in range(dim_a[na]):
+                for ib in range(dim_b[nb]):
+                    order.append((off_a[na] + ia) * width + off_b[nb] + ib)
+                    count += 1
+        dims.append(count)
+    return (tuple(totals), tuple(dims)), order
+
+
+def composite_order(wires):
+    """Charge-major order of a chain of (charges, dims) wires, tensored left to right.
+
+    Returns (charges, dims, kron_index), where ``kron_index[g]`` is the flat
+    multi-wire Kronecker index of composite basis vector ``g``.
+    """
+    space = wires[0]
+    index = list(range(sum(space[1])))
+    for wire in wires[1:]:
+        width = sum(wire[1])
+        space, order = _tensor_order(space, wire)
+        index = [index[g // width] * width + g % width for g in order]
+    return space[0], space[1], index

@@ -193,7 +193,7 @@ class TestEqSevenSectorAction:
         def composite_vector(rs_vec, reg_bits):
             reg = np.zeros(8)
             reg[int("".join(map(str, reg_bits)), 2)] = 1.0
-            return comp.to_graded_vector(np.kron(rs_vec, reg))
+            return comp.vector(np.kron(rs_vec, reg))
 
         for n in range(1, m + 1):
             phi_p = np.zeros(rs_tm.space.total_dim, dtype=complex)
@@ -241,7 +241,7 @@ class TestEqSevenSectorAction:
             vals, vecs = np.linalg.eigh(proj)
             for col in np.where(vals > 0.5)[0]:
                 vec_in = np.kron(vecs[:, col], np.eye(reg_dim)[start])
-                vec_out = (v @ comp.to_graded_vector(vec_in))[inv] \
+                vec_out = (v @ comp.vector(vec_in))[inv] \
                     .reshape(rs_dim, reg_dim)
                 reg_weights = np.sum(np.abs(vec_out) ** 2, axis=0)
                 assert reg_weights[target] == pytest.approx(1.0, abs=1e-12)

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import math
 import shutil
@@ -12,7 +14,9 @@ from waylab import serialize
 from waylab.graded import GradedSpace, PureState
 
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+PERFBENCH = ROOT / "perfbench"
 
 
 def run_cli(*args, cwd=None):
@@ -269,6 +273,18 @@ class TestOzawaCommand:
     def test_missing_file_exit_2(self):
         assert run_cli("ozawa", "/nonexistent.json").returncode == 2
 
+    @pytest.mark.parametrize("state", [
+        {"amps": [[1.0, 0.0], [0.0, 0.0]]},
+        {"amplitudes": [["a", 0], [0, 0]]},
+    ], ids=["no-amplitudes", "non-numeric-amplitudes"])
+    def test_malformed_inline_system_state_exit_2(self, tmp_path, state):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({"model": {"kind": "ud", "m": 2},
+                                    "system_state": state}))
+        res = run_cli("ozawa", str(scen))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: invalid qubit state")
+
 
 class TestDeterminism:
     CASES = [
@@ -319,3 +335,32 @@ class TestDeterminism:
                       "--out", str(out))
         assert res.returncode == 0
         assert out.read_text().startswith("resource,")
+
+
+class TestRecordedOutput:
+    def test_cli_variants_match_recorded_digests(self, tmp_path, monkeypatch):
+        """Every CLI variant of the benchmark prints its recorded bytes.
+
+        ``perfbench/cli_digests.json`` holds the exit code and stdout sha256 of
+        each variant that ``perfbench/workloads.py::cli_variant`` builds; the
+        variants are rebuilt here and run in-process.
+        """
+        spec = importlib.util.spec_from_file_location(
+            "waylab_bench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        digests = json.loads((PERFBENCH / "cli_digests.json").read_text())
+        assert digests
+        mismatched = []
+        for key, want in sorted(digests.items()):
+            form, i = key.rsplit("/", 1)
+            argv, files = workloads.cli_variant(form, int(i))
+            paths = {}
+            for name, text in files.items():
+                paths[name] = str(tmp_path / f"{form}-{i}-{name}.json")
+                Path(paths[name]).write_text(text)
+            code, stdout = workloads.cli_in_process([a.format(**paths) for a in argv])
+            if code != want["exit"] or hashlib.sha256(stdout).hexdigest() != want["sha256"]:
+                mismatched.append(key)
+        assert mismatched == []

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_pure
-from waylab.graded import (EPS_NUM, BlockState, GradedSpace, Observable,
-                           PureState, coherent_state, expectation, g_twirl,
+from oracles import composite_order
+from waylab.graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
+                           Observable, PureState, coherent_state, expectation, g_twirl,
                            number_operator, opt_phase_norm_squared_inverse,
                            opt_phase_state, phase_rotation, sector_projector,
                            tensor, uniform_state, variance)
@@ -90,6 +91,17 @@ class TestTensor:
         ia, ib = tm.factor_indices()
         assert np.array_equal(tm.space.charge_labels(), la[ia] + lb[ib])
         assert tm.space.total_dim == a.total_dim * b.total_dim
+
+    @given(st.lists(st.lists(st.integers(-3, 4), min_size=1, max_size=4),
+                    min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_composite_order_matches_nested_loop_reference(self, chain):
+        wires = [GradedSpace.from_charge_list(labels) for labels in chain]
+        comp = CompositeSpace.of(wires)
+        charges, dims, index = composite_order([(w.charges, w.dims) for w in wires])
+        assert comp.space.charges == charges
+        assert comp.space.dims == dims
+        assert comp.kron_index.tolist() == index
 
     def test_operator_promotion_consistent(self, rng):
         a, b = GradedSpace.ladder(2), QUBIT
