@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import (EPS_NUM, CompositeSpace, GradedSpace, Observable, _freeze,
-                     number_operator, uniform_state)
+from .graded import (EPS_NUM, CompositeSpace, GradedSpace, Observable, _diagonal_of,
+                     _freeze, number_operator, uniform_state)
 from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
@@ -48,9 +48,10 @@ def unitarity_deviation(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral norm of [A, B]."""
-    return float(np.linalg.norm(a @ b - b @ a, 2))
+def _commutator_norm(a: np.ndarray, n: np.ndarray) -> float:
+    """Spectral norm of [A, diag(n)]; exactly 0.0, without an SVD, when they commute."""
+    comm = a * n - n[:, None] * a
+    return float(np.linalg.norm(comm, 2)) if comm.any() else 0.0
 
 
 def _pointer_diagonal(composite: CompositeSpace, pointer: dict[str, np.ndarray],
@@ -70,7 +71,7 @@ def _pointer_diagonal(composite: CompositeSpace, pointer: dict[str, np.ndarray],
 
 @dataclass(frozen=True, eq=False)
 class ConservingUnitary:
-    """Unitary that commutes with the total number operator."""
+    """Unitary that commutes with the total number operator (diagonal in the graded basis)."""
 
     space: GradedSpace
     matrix: np.ndarray
@@ -83,7 +84,8 @@ class ConservingUnitary:
             raise ValueError("matrix does not match space dimension")
         if unitarity_deviation(m) > EPS_NUM:
             raise ValueError("matrix is not unitary within tolerance")
-        if _commutator_norm(m, self.charge_observable.matrix) > EPS_NUM:
+        n = _diagonal_of(self.charge_observable, d, "charge observable")
+        if _commutator_norm(m, n) > EPS_NUM:
             raise ValueError("matrix does not conserve the total charge")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -133,11 +135,6 @@ class MeasurementModel:
     def pointer_observable(self, values: dict[str, float] | None = None) -> Observable:
         diag = _pointer_diagonal(self.composite, self.pointer, values)
         return Observable(self.composite.space, np.diag(diag))
-
-    def outcome_projector(self, label: str) -> np.ndarray:
-        """Graded-basis projector onto the pointer eigenspace of an outcome."""
-        diag = _pointer_diagonal(self.composite, self.pointer, {label: 1.0})
-        return np.diag(diag.astype(complex))
 
     def system_operator_full(self, op: np.ndarray) -> np.ndarray:
         """Promote a system-wire operator to the composite graded basis."""
@@ -351,8 +348,8 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray,
     ds = dims[sys_i]
     out: dict[str, tuple[float, np.ndarray | None]] = {}
     for label in model.pointer:
-        q = model.outcome_projector(label)
-        selected = q @ evolved @ q
+        mask = _pointer_diagonal(comp, model.pointer, {label: 1.0})
+        selected = evolved * np.outer(mask, mask)
         prob = float(np.real(np.trace(selected)))
         if prob <= prob_cutoff:
             out[label] = (max(prob, 0.0), None)
@@ -372,7 +369,7 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray,
 
 def verify_conservation(unitary: ConservingUnitary) -> float:
     """Spectral norm of [V, N_tot]; zero for a charge-conserving unitary."""
-    return _commutator_norm(unitary.matrix, unitary.charge_observable.matrix)
+    return _commutator_norm(unitary.matrix, np.diagonal(unitary.charge_observable.matrix))
 
 
 def verify_yanase(model: MeasurementModel,
@@ -380,7 +377,7 @@ def verify_yanase(model: MeasurementModel,
     """Spectral norm of [Z_A, N_A] on the apparatus (pointer vs apparatus charge)."""
     app = model.apparatus()
     z = np.diag(_pointer_diagonal(app, model.pointer, values))
-    return _commutator_norm(z, number_operator(app.space).matrix)
+    return _commutator_norm(z, app.space.charge_labels())
 
 
 def model_manifest(model: MeasurementModel) -> dict:

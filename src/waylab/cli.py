@@ -284,6 +284,8 @@ def cmd_circuit(args) -> int:
 
 def cmd_ozawa(args) -> int:
     obj = _load_json(args.scenario)
+    if not isinstance(obj, dict):
+        raise InputError(f"invalid scenario file: expected a JSON object, got {obj!r}")
     if "model" in obj:
         spec = obj["model"]
         try:

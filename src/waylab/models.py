@@ -22,7 +22,7 @@ from .discrimination import (Criterion, DiscriminationResult, Ensemble,
                              perfect_discrimination_possible)
 from .discrimination import discriminate as _discriminate
 from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
-                     Observable, PureState, coherent_state, g_twirl,
+                     Observable, PureState, _diagonal_of, coherent_state, g_twirl,
                      opt_phase_state, tensor, uniform_state)
 
 __all__ = [
@@ -112,6 +112,8 @@ def coherent_mle_success(nbar: float, rel_tol: float = 1e-16) -> float:
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
     total = _poisson_pmf(0, nbar)
+    if total == 0.0:
+        raise ValueError("nbar too large: exp(-nbar) underflows to zero")
     term = total  # exp(-nbar) * nbar^(n-1)/(n-1)! at n = 1
     n = 1
     while True:
@@ -335,6 +337,7 @@ def ozawa_bound(observable: Observable, conserved_system: Observable,
 
     Evaluates |<[L, N_S]>|^2 / (4 sigma(N_S)^2 + 4 sigma(N_A)^2) on the joint
     initial state, given in the plain Kronecker layout system (x) apparatus.
+    Both conserved quantities must be diagonal; they act as scalings.
     A vanishing denominator leaves the bound undefined and raises.
     """
     ds = observable.space.total_dim
@@ -342,20 +345,19 @@ def ozawa_bound(observable: Observable, conserved_system: Observable,
     joint = np.asarray(joint_state, dtype=complex)
     if joint.shape != (ds * da, ds * da):
         raise ValueError("joint state does not match system x apparatus dimensions")
-    eye_s, eye_a = np.eye(ds), np.eye(da)
-    l_full = np.kron(observable.matrix, eye_a)
-    ns_full = np.kron(conserved_system.matrix, eye_a)
-    na_full = np.kron(eye_s, conserved_apparatus.matrix)
+    ns = np.kron(_diagonal_of(conserved_system, ds, "system charge"), np.ones(da))
+    na = np.kron(np.ones(ds), _diagonal_of(conserved_apparatus, da, "apparatus charge"))
+    l_full = np.kron(observable.matrix, np.eye(da))
 
-    comm = l_full @ ns_full - ns_full @ l_full
+    comm = l_full * ns - ns[:, None] * l_full
     num = abs(np.trace(comm @ joint)) ** 2
 
-    def var(op: np.ndarray) -> float:
-        mean = np.real(np.trace(op @ joint))
-        second = np.real(np.trace(op @ op @ joint))
+    def var(n: np.ndarray) -> float:
+        mean = np.real(np.sum(n * joint.diagonal()))
+        second = np.real(np.sum(n * n * joint.diagonal()))
         return max(second - mean ** 2, 0.0)
 
-    denom = 4.0 * var(ns_full) + 4.0 * var(na_full)
+    denom = 4.0 * var(ns) + 4.0 * var(na)
     if denom <= EPS_NUM:
         raise ValueError("bound undefined: conserved-quantity variances vanish")
     return float(num / denom)
@@ -366,17 +368,16 @@ def noise_of_model(unitary, observable_full, pointer_full,
     """Mean squared noise <(V' Z V - L)^2> of a premeasurement model.
 
     All operators must live on the composite space (same basis as the
-    unitary); ``pointer_full`` carries the outcome values (the eigenvalue of
-    the measured observable on each success outcome, zero on failure).
+    unitary); the diagonal ``pointer_full`` carries the outcome values (the
+    measured eigenvalue on each success outcome, zero on failure).
     Accepts wrapped (ConservingUnitary / Observable) or plain matrices.
     """
     v = np.asarray(getattr(unitary, "matrix", unitary), dtype=complex)
     l_full = np.asarray(getattr(observable_full, "matrix", observable_full),
                         dtype=complex)
-    z_full = np.asarray(getattr(pointer_full, "matrix", pointer_full), dtype=complex)
-    if not (v.shape == l_full.shape == z_full.shape
-            == np.asarray(input_state).shape):
+    if not v.shape == l_full.shape == np.asarray(input_state).shape:
         raise ValueError("operator dimensions do not match")
-    noise_op = v.conj().T @ z_full @ v - l_full
+    z = _diagonal_of(pointer_full, v.shape[0], "pointer")
+    noise_op = (v.conj().T * z) @ v - l_full
     val = np.real(np.trace(noise_op @ noise_op @ np.asarray(input_state, dtype=complex)))
     return float(max(val, 0.0))

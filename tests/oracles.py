@@ -204,3 +204,91 @@ def composite_order(wires):
         space, order = _tensor_order(space, wire)
         index = [index[g // width] * width + g % width for g in order]
     return space[0], space[1], index
+
+
+# ---------------------------------------------------------------------------
+# dense circuit formulas
+# ---------------------------------------------------------------------------
+
+def _kron_all(ops):
+    out = np.eye(1)
+    for op in ops:
+        out = np.kron(out, op)
+    return out
+
+
+def _commutator_norm(a, b):
+    return float(np.linalg.norm(a @ b - b @ a, 2))
+
+
+def dense_circuit_reference(model, system_rho, prob_cutoff: float = 1e-14):
+    """Circuit-layer quantities of a ``MeasurementModel``, from dense matrices only.
+
+    Works in the plain multi-wire Kronecker layout: the unitary is permuted
+    back out of the charge-major basis once, and every number operator,
+    pointer and outcome projector is a dense d x d matrix multiplied with
+    GEMMs.  Returns a dict with ``outcomes`` (label -> (probability, reduced
+    system state or None)), ``noise``, ``noise_bound``, ``conservation``
+    ([V, N_tot]) and ``yanase`` ([Z_A, N_A]), with the default pointer values
+    +1 / -1 / 0 for plus / minus / fail.
+    """
+    wires = model.composite.wires
+    dims = [w.total_dim for w in wires]
+    sys_i, d = model.system_wire, int(np.prod(dims))
+    inv = np.argsort(model.composite.kron_index)
+    v = np.asarray(model.unitary.matrix)[np.ix_(inv, inv)]
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def wire_op(i, op):
+        return _kron_all(op if j == i else np.eye(dims[j]) for j in range(len(dims)))
+
+    def number(ws):
+        """Total number operator of the wires ``ws``, in their Kronecker layout."""
+        return sum(_kron_all(np.diag(wires[i].charge_labels().astype(float)) if j == i
+                             else np.eye(dims[j]) for j in ws) for i in ws)
+
+    rho = _kron_all(np.asarray(system_rho, dtype=complex) if i == sys_i
+                    else np.outer(vec, vec.conj()) for i, vec in enumerate(model.init))
+    evolved = v @ rho @ v.conj().T
+    bank = len(next(iter(model.pointer.values())))
+    pre, post = int(np.prod(dims[:sys_i])), int(np.prod(dims[sys_i + 1:]))
+    outcomes = {}
+    for label, mask in model.pointer.items():
+        q = np.kron(np.eye(d // bank), np.diag(np.asarray(mask, dtype=complex)))
+        selected = q @ evolved @ q
+        prob = float(np.real(np.trace(selected)))
+        if prob <= prob_cutoff:
+            outcomes[label] = (max(prob, 0.0), None)
+            continue
+        blocks = selected.reshape(pre, dims[sys_i], post, pre, dims[sys_i], post)
+        outcomes[label] = (prob, np.einsum("iajibj->ab", blocks) / prob)
+
+    values = {"plus": 1.0, "minus": -1.0}
+    zreg = sum(values.get(label, 0.0) * np.asarray(mask, dtype=float)
+               for label, mask in model.pointer.items())
+    z_full = np.kron(np.eye(d // bank), np.diag(zreg))
+    noise_op = v.conj().T @ z_full @ v - wire_op(sys_i, x)
+    noise = max(float(np.real(np.trace(noise_op @ noise_op @ rho))), 0.0)
+
+    # Ozawa bound on the joint state system (x) apparatus
+    app = [i for i in range(len(dims)) if i != sys_i]  # apparatus wires, in wire order
+    app_vec = _kron_all(np.asarray(model.init[i], dtype=complex)[:, None] for i in app)
+    app_rho = app_vec @ app_vec.conj().T
+    da = app_rho.shape[0]
+    n_a = number(app)
+    joint = np.kron(np.asarray(system_rho, dtype=complex), app_rho)
+    l_full = np.kron(x, np.eye(da))
+    ns_full = np.kron(np.diag([0.0, 1.0]), np.eye(da))
+    na_full = np.kron(np.eye(2), n_a)
+    comm = l_full @ ns_full - ns_full @ l_full
+    num = abs(np.trace(comm @ joint)) ** 2
+
+    def var(op):
+        mean = np.real(np.trace(op @ joint))
+        return max(np.real(np.trace(op @ op @ joint)) - mean ** 2, 0.0)
+
+    bound = float(num / (4.0 * var(ns_full) + 4.0 * var(na_full)))
+    z_app = np.kron(np.eye(da // bank), np.diag(zreg))
+    return {"outcomes": outcomes, "noise": noise, "noise_bound": bound,
+            "conservation": _commutator_norm(v, number(range(len(dims)))),
+            "yanase": _commutator_norm(z_app, n_a)}

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_pure
+from oracles import dense_circuit_reference
 from waylab.circuits import (CompositeSpace, ConservingUnitary,
                              build_mle_unitary, build_repeatable_variant,
                              build_ud_unitary, model_manifest,
                              simulate_measurement, verify_conservation,
                              verify_yanase)
 from waylab.discrimination import Criterion, discriminate
-from waylab.graded import (GradedSpace, g_twirl, number_operator, tensor,
-                           uniform_state)
+from waylab.graded import (GradedSpace, Observable, g_twirl, number_operator,
+                           tensor, uniform_state)
 from waylab.models import twirled_pair_ensemble
 
 E_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -57,6 +58,42 @@ class TestStructuralChecks:
         assert np.linalg.norm(v @ n - n @ v, 2) > 0.5
         with pytest.raises(ValueError, match="conserve"):
             ConservingUnitary(tm.space, v, number_operator(tm.space))
+
+    def test_nondiagonal_charge_operator_rejected(self):
+        # the identity commutes with anything, so only the diagonal check fires
+        space = tensor(GradedSpace.qubit(), GradedSpace.qubit()).space
+        hopping = np.zeros((4, 4))
+        hopping[1, 2] = hopping[2, 1] = 1.0
+        with pytest.raises(ValueError, match="not diagonal"):
+            ConservingUnitary(space, np.eye(4), Observable(space, hopping))
+
+
+class TestDenseReference:
+    """Scalings by diagonal operators agree with the dense GEMM formulas."""
+
+    @pytest.mark.parametrize("builder", ALL_BUILDERS)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8])
+    def test_matches_dense_formulas(self, builder, m, rng):
+        model = builder(m)
+        ref = dense_circuit_reference(model, rho_of(E_PLUS))
+        assert verify_conservation(model.unitary) == pytest.approx(
+            ref["conservation"], abs=1e-12)
+        assert verify_yanase(model) == pytest.approx(ref["yanase"], abs=1e-12)
+        inputs = [E_PLUS, E_MINUS, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                  random_pure(rng, 2), random_pure(rng, 2)]
+        for vec in inputs:
+            rho = rho_of(vec)
+            ref = dense_circuit_reference(model, rho)
+            assert model.noise(rho) == pytest.approx(ref["noise"], abs=1e-12)
+            assert model.noise_bound(rho) == pytest.approx(ref["noise_bound"], abs=1e-12)
+            got = simulate_measurement(model, rho)
+            assert set(got) == set(ref["outcomes"])
+            for label, (prob, post) in got.items():
+                ref_prob, ref_post = ref["outcomes"][label]
+                assert prob == pytest.approx(ref_prob, abs=1e-12)
+                assert (post is None) == (ref_post is None)
+                if post is not None:
+                    np.testing.assert_allclose(post, ref_post, rtol=0, atol=1e-12)
 
 
 class TestUdCircuit:

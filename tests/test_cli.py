@@ -285,6 +285,15 @@ class TestOzawaCommand:
         assert res.returncode == 2
         assert res.stderr.startswith("error: invalid qubit state")
 
+    @pytest.mark.parametrize("content", ["5", "null", "[1, 2]", '"text"'],
+                             ids=["int", "null", "list", "string"])
+    def test_non_object_scenario_exit_2(self, tmp_path, content):
+        scen = tmp_path / "scen.json"
+        scen.write_text(content)
+        res = run_cli("ozawa", str(scen))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: invalid scenario file")
+
 
 class TestDeterminism:
     CASES = [

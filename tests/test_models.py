@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ class TestCoherentModel:
     def test_mle_closed_form(self, nbar):
         rep = coherent_model(math.sqrt(nbar), Criterion.MLE)
         assert abs(rep.success_numeric - coherent_mle_success(nbar)) < 1e-8
+
+    def test_mle_closed_form_underflow_fails_within_one_second(self):
+        # exp(-800) underflows to zero, so the series' stopping test never fires
+        def expire(signum, frame):
+            raise TimeoutError("coherent_mle_success(800) still running after 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ValueError, match="underflows"):
+                coherent_mle_success(800.0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_ud_value_at_nbar_one(self):
         rep = coherent_model(1.0, Criterion.UD)
@@ -258,6 +273,14 @@ class TestOzawaBound:
                             number_operator(app_space), joint)
         assert bound == pytest.approx(1.0 / (4 * 0.25), abs=1e-12)
 
+    @pytest.mark.parametrize("which", ["system", "apparatus"])
+    def test_nondiagonal_conserved_quantity_rejected(self, which):
+        x = Observable(QUBIT, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        n = number_operator(QUBIT)
+        charges = (x, n) if which == "system" else (n, x)
+        with pytest.raises(ValueError, match=f"{which} charge is not diagonal"):
+            ozawa_bound(x, *charges, np.eye(4, dtype=complex) / 4)
+
     def test_zero_denominator_rejected(self):
         obs = Observable(QUBIT, np.array([[0.0, 1.0], [1.0, 0.0]]))
         joint = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
@@ -291,6 +314,13 @@ class TestNoiseOfModel:
         noise = noise_of_model(np.eye(4), l_full, z_full, rho)
         var_l = 1.0
         assert noise == pytest.approx(var_l, abs=1e-12)
+
+    def test_nondiagonal_pointer_rejected(self):
+        l_full = np.kron(np.diag([0.5, -1.5]), np.eye(2))
+        z_full = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        rho = np.eye(4) / 4
+        with pytest.raises(ValueError, match="pointer is not diagonal"):
+            noise_of_model(np.eye(4), l_full, z_full, rho)
 
 
 class TestReferenceCurves:
