@@ -2,9 +2,10 @@
 discrimination, and explicit conserving readout circuits."""
 
 from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
-                     Observable, PureState, coherent_state, expectation, g_twirl,
-                     number_operator, opt_phase_state, phase_rotation,
-                     sector_projector, tensor, uniform_state, variance)
+                     NumericalError, Observable, PureState, coherent_state,
+                     expectation, g_twirl, number_operator, opt_phase_state,
+                     phase_rotation, sector_projector, tensor, uniform_state,
+                     variance)
 from .convert import (ChargeDistribution, Comparison, ConversionCertificate,
                       charge_distribution, compare, deterministic_convertible,
                       frameness_entropy, stochastic_reachable_from_uniform,

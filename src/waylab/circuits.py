@@ -21,7 +21,7 @@ import numpy as np
 
 from .graded import (EPS_NUM, CompositeSpace, GradedSpace, Observable, _diagonal_of,
                      _freeze, number_operator, uniform_state)
-from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates
+from .models import _model_noise, ozawa_bound, plus_minus_eigenstates
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
 POINTER_VALUES = {"plus": 1.0, "minus": -1.0, "fail": 0.0}
@@ -162,9 +162,11 @@ class MeasurementModel:
               values: dict[str, float] | None = None) -> float:
         """Mean squared measurement noise of this model on a system input."""
         l_full = self.system_operator_full(PLUS_MINUS_OBSERVABLE)
-        z_full = self.pointer_observable(values)
+        # complex, the dtype noise_of_model reads back from an Observable, so
+        # both give the same bits
+        z = _pointer_diagonal(self.composite, self.pointer, values).astype(complex)
         rho_full = self.initial_density_full(system_rho)
-        return noise_of_model(self.unitary, l_full, z_full, rho_full)
+        return _model_noise(self.unitary.matrix, l_full, z, rho_full)
 
     def noise_bound(self, system_rho: np.ndarray) -> float:
         """Commutator lower bound evaluated on rho_system (x) apparatus init."""

@@ -25,7 +25,7 @@ from .convert import (ChargeDistribution, charge_distribution,
                       deterministic_convertible, frameness_entropy,
                       variance_measure)
 from .discrimination import Criterion
-from .graded import EPS_NUM, Observable, g_twirl, number_operator
+from .graded import EPS_NUM, NumericalError, Observable, g_twirl, number_operator
 from .models import (ModelReport, coherent_model, coherent_ud_success_smooth,
                      opt_phase_model, ozawa_bound, ozawa_reference_curve,
                      uniform_model)
@@ -406,10 +406,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+        return EXIT_VERIFY
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .graded import EPS_NUM, PureState, number_operator, variance
 
@@ -157,6 +156,9 @@ def deterministic_convertible(p: ChargeDistribution,
     bounded-variable LP in the standard slack formulation; feasible iff the
     optimal residual is at most ``FEASIBILITY_TOL``.
     """
+    # SciPy loads on the first LP solve, so that commands without one never pay for it
+    from scipy.optimize import linprog
+
     shifts, a, pv = _mixture_matrix(p, q)
     nj, nk = a.shape
     cost = np.concatenate([np.zeros(nk), np.ones(nj)])

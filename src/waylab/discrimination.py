@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import EPS_NUM, BlockState, GradedSpace
+from .graded import EPS_NUM, BlockState, GradedSpace, NumericalError
 
 SUPPORT_RANK_TOL = 1e-9
 
@@ -126,11 +126,11 @@ class DiscriminationResult:
     def __post_init__(self):
         acc = math.fsum(w * s for _, w, s, _ in self.per_sector)
         if abs(acc - self.success_prob) > EPS_NUM:
-            raise ValueError("success probability does not match its sector sum")
+            raise NumericalError("success probability does not match its sector sum")
         if self.criterion is Criterion.UD:
             # UD has no misidentification, so success and failure exhaust 1
             if abs(self.success_prob + self.fail_prob - 1.0) > 1e-9:
-                raise ValueError("UD success and failure do not account for 1")
+                raise NumericalError("UD success and failure do not account for 1")
 
     def sector_success(self, charge: int) -> float:
         for n, _, s, _ in self.per_sector:

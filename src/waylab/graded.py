@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ EPS_NUM = 1e-10
 
 __all__ = [
     "EPS_NUM",
+    "NumericalError",
     "GradedSpace",
     "PureState",
     "Observable",
@@ -46,6 +48,14 @@ __all__ = [
     "opt_phase_state",
     "opt_phase_norm_squared_inverse",
 ]
+
+
+class NumericalError(ValueError):
+    """An internal check or a numerical method failed on a valid input.
+
+    A ``ValueError``, so callers that catch bad input catch this too; the
+    ``waylab`` command tells the two apart and exits 3 for this one.
+    """
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -393,7 +403,8 @@ def coherent_state(alpha: float, tail_mass: float = 1e-12) -> PureState:
 
     The cutoff is the smallest C such that the discarded Poisson(alpha^2) mass
     beyond C is below ``tail_mass``; the kept amplitudes are renormalized so
-    the state is exactly unit norm.
+    the state is exactly unit norm.  Raises :class:`NumericalError` when
+    exp(-alpha^2) is not a normal float (alpha^2 above ~708).
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -401,10 +412,16 @@ def coherent_state(alpha: float, tail_mass: float = 1e-12) -> PureState:
         raise ValueError("tail_mass must be in (0, 1)")
     lam = alpha * alpha
     pmf = [math.exp(-lam)]
+    # the recursion carries the first term's relative error into every term,
+    # so a subnormal start (lam above ~708) would misplace the cutoff
+    if pmf[0] < sys.float_info.min:
+        raise NumericalError(
+            f"coherent state with mean charge {lam:g}: exp(-{lam:g}) is below the "
+            "smallest normal float, so the Poisson truncation cannot be placed")
     while 1.0 - math.fsum(pmf) >= tail_mass:
         pmf.append(pmf[-1] * lam / len(pmf))
-        if len(pmf) > 100_000:  # unreachable for sane alpha
-            raise ValueError("truncation did not converge")
+        if pmf[-1] == 0.0:  # the terms underflowed: nothing more can be added
+            raise NumericalError("truncation did not converge")
     amps = np.sqrt(np.array(pmf))
     amps /= np.linalg.norm(amps)
     return PureState(GradedSpace.ladder(len(pmf) - 1), amps)

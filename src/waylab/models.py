@@ -22,8 +22,8 @@ from .discrimination import (Criterion, DiscriminationResult, Ensemble,
                              perfect_discrimination_possible)
 from .discrimination import discriminate as _discriminate
 from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
-                     Observable, PureState, _diagonal_of, coherent_state, g_twirl,
-                     opt_phase_state, tensor, uniform_state)
+                     NumericalError, Observable, PureState, _diagonal_of,
+                     coherent_state, g_twirl, opt_phase_state, tensor, uniform_state)
 
 __all__ = [
     "Verdict",
@@ -106,23 +106,43 @@ def coherent_ud_success_smooth(nbar: float) -> float:
 def coherent_mle_success(nbar: float, rel_tol: float = 1e-16) -> float:
     """Optimal minimum-error success with a mean-nbar coherent resource.
 
-    Evaluates exp(-nbar)/4 * [1 + sum_{n>=1} nbar^(n-1)/(n-1)! (1+sqrt(nbar/n))^2]
-    with Poisson-stable term recursion.
+    Evaluates exp(-nbar)/4 * [1 + sum_{n>=1} nbar^(n-1)/(n-1)! (1+sqrt(nbar/n))^2].
+    The Poisson weights are recursed outward from the mode, relative to the
+    weight there, and the sum is divided by their total.  No term starts from
+    exp(-nbar), which is subnormal above nbar ~708 and zero above ~745, and no
+    exponent of size nbar cancels, so the result is accurate at any nbar.  Each
+    tail stops at its first term below ``rel_tol`` times the term at the mode.
     """
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
-    total = _poisson_pmf(0, nbar)
-    if total == 0.0:
-        raise ValueError("nbar too large: exp(-nbar) underflows to zero")
-    term = total  # exp(-nbar) * nbar^(n-1)/(n-1)! at n = 1
-    n = 1
+    mode = math.floor(nbar)
+
+    def gain(k: int) -> float:  # (1 + sqrt(nbar/n))^2 at n = k + 1
+        return (1.0 + math.sqrt(nbar / (k + 1))) ** 2
+
+    terms, weights = [gain(mode)], [1.0]
+    cut = rel_tol * terms[0]
+    w, k = 1.0, mode
     while True:
-        total += term * (1.0 + math.sqrt(nbar / n)) ** 2
-        n += 1
-        term *= nbar / (n - 1)
-        if n > nbar + 20 and term * 4.0 < rel_tol * total:
+        w *= nbar / (k + 1)
+        k += 1
+        term = w * gain(k)
+        if term < cut:
             break
-    return total / 4.0
+        terms.append(term)
+        weights.append(w)
+    w, k = 1.0, mode
+    while k > 0:
+        w *= k / nbar
+        k -= 1
+        term = w * gain(k)
+        if term < cut:
+            break
+        terms.append(term)
+        weights.append(w)
+    else:
+        terms.append(w)  # the n = 0 term exp(-nbar), relative to the mode
+    return math.fsum(terms) / (4.0 * math.fsum(weights))
 
 
 def stirling_ud_asymptote(nbar: float) -> float:
@@ -272,7 +292,7 @@ class ModelReport:
     def __post_init__(self):
         if self.success_closed_form is not None:
             if abs(self.success_numeric - self.success_closed_form) > 1e-8:
-                raise ValueError(
+                raise NumericalError(
                     "closed form and numeric success disagree: "
                     f"{self.success_numeric!r} vs {self.success_closed_form!r}")
 
@@ -378,6 +398,12 @@ def noise_of_model(unitary, observable_full, pointer_full,
     if not v.shape == l_full.shape == np.asarray(input_state).shape:
         raise ValueError("operator dimensions do not match")
     z = _diagonal_of(pointer_full, v.shape[0], "pointer")
+    return _model_noise(v, l_full, z, np.asarray(input_state, dtype=complex))
+
+
+def _model_noise(v: np.ndarray, l_full: np.ndarray, z: np.ndarray,
+                 rho: np.ndarray) -> float:
+    """<(V' Z V - L)^2> in rho for the pointer diagonal z, as (V'Z)V."""
     noise_op = (v.conj().T * z) @ v - l_full
-    val = np.real(np.trace(noise_op @ noise_op @ np.asarray(input_state, dtype=complex)))
+    val = np.real(np.trace(noise_op @ noise_op @ rho))
     return float(max(val, 0.0))

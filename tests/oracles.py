@@ -1,5 +1,7 @@
 """Independent brute-force oracles shared between module tests and acceptance."""
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +149,33 @@ def random_projective_success(rho_p, rho_m, priors, rng, trials: int = 1000) -> 
                + priors[1] * np.real(np.trace(rho_m @ (np.eye(dim) - proj))))
         best = max(best, float(val))
     return best
+
+
+def coherent_mle_log_series(nbar: float, digits: int = 40) -> float:
+    """Coherent-resource MLE success from its series, in log space.
+
+    exp(-nbar)/4 [1 + sum_{n>=1} nbar^(n-1)/(n-1)! (1 + sqrt(nbar/n))^2], where
+    each Poisson term is exp(-nbar + k ln nbar - ln k!) and ln k! is a running
+    sum of ln j, all in ``digits``-digit decimal arithmetic: the exponents
+    cancel without loss and exp(-nbar) cannot underflow.  Terms more than
+    12 standard deviations plus 40 beyond the mean are dropped (below 1e-30).
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        lam = Decimal(nbar)
+        if lam == 0:
+            return 0.5
+        ln_lam, ln_fact = lam.ln(), Decimal(0)
+        width = 12 * math.sqrt(nbar) + 40
+        total = (-lam).exp()
+        for k in range(int(nbar + width) + 1):
+            if k:
+                ln_fact += Decimal(k).ln()
+            if k < nbar - width:
+                continue
+            pk = (k * ln_lam - lam - ln_fact).exp()
+            total += pk * (1 + (lam / (k + 1)).sqrt()) ** 2
+        return float(total / 4)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,18 @@ class TestDiscriminateCommand:
         res = run_cli("discriminate", "--resource", "uniform", "--param", "2.5",
                       "--criterion", "ud")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("criterion", ["ud", "mle"])
+    def test_coherent_truncation_failure_exit_3_within_two_seconds(self, criterion):
+        # a valid input the truncation cannot handle is a numerical failure,
+        # not an input error
+        t0 = time.perf_counter()
+        res = run_cli("discriminate", "--resource", "coherent", "--param", "30",
+                      "--criterion", criterion)
+        assert time.perf_counter() - t0 < 2.0
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
 
 
 class TestCurves:

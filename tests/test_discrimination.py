@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from waylab.discrimination import (Criterion, Ensemble, SectorPovm,
                                    discriminate, mle_two_states,
                                    perfect_discrimination_possible,
                                    raynal_reduce, ud_two_states)
-from waylab.graded import GradedSpace, g_twirl, uniform_state
+from waylab.graded import GradedSpace, NumericalError, g_twirl, uniform_state
 from waylab.models import twirled_pair_ensemble
 
 QUBIT = GradedSpace.qubit()
@@ -275,6 +276,16 @@ class TestDiscriminate:
             ud = discriminate(ens, Criterion.UD).success_prob
             mle = discriminate(ens, Criterion.MLE).success_prob
             assert ud <= mle + 1e-12
+
+    @pytest.mark.parametrize("field, match", [
+        ("success_prob", "sector sum"),
+        ("fail_prob", "account for 1"),
+    ])
+    def test_inconsistent_result_is_numerical_error(self, field, match):
+        _, ensemble = twirled_pair_ensemble(uniform_state(3))
+        res = discriminate(ensemble, Criterion.UD)
+        with pytest.raises(NumericalError, match=match):
+            dataclasses.replace(res, **{field: getattr(res, field) + 1e-6})
 
     def test_only_binary_supported(self):
         sp = GradedSpace.ladder(1)

@@ -1,4 +1,6 @@
 import math
+import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 from conftest import random_density, random_pure
 from oracles import composite_order
 from waylab.graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
-                           Observable, PureState, coherent_state, expectation, g_twirl,
-                           number_operator, opt_phase_norm_squared_inverse,
-                           opt_phase_state, phase_rotation, sector_projector,
-                           tensor, uniform_state, variance)
+                           NumericalError, Observable, PureState, coherent_state,
+                           expectation, g_twirl, number_operator,
+                           opt_phase_norm_squared_inverse, opt_phase_state,
+                           phase_rotation, sector_projector, tensor,
+                           uniform_state, variance)
 from waylab import serialize
 
 E_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -283,6 +286,29 @@ class TestStates:
             coherent_state(-1.0)
         with pytest.raises(ValueError):
             coherent_state(1.0, 0.0)
+
+    def test_coherent_cutoff_minimal_at_largest_normal_start(self):
+        # exp(-708) is still a normal float; the Poisson masses are summed in
+        # 40-digit decimals, as float log-space terms lose ~1e-13 here
+        tail, lam = 1e-12, Decimal(708)
+        st_ = coherent_state(math.sqrt(708.0), tail)
+        c = st_.space.charges[-1]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            pmf = [(-lam).exp()]
+            for n in range(1, c + 1):
+                pmf.append(pmf[-1] * lam / n)
+            assert 1 - sum(pmf) < tail
+            assert 1 - sum(pmf[:c]) >= tail
+
+    @pytest.mark.parametrize("nbar", [720.0, 744.0, 800.0, 900.0, 1e4])
+    def test_coherent_subnormal_start_fails_at_once(self, nbar):
+        # from a subnormal or zero exp(-nbar) the recursion misplaces the
+        # cutoff (nbar 744 kept mean 733.8) or never converges (nbar 720)
+        t0 = time.perf_counter()
+        with pytest.raises(NumericalError, match="smallest normal float"):
+            coherent_state(math.sqrt(nbar))
+        assert time.perf_counter() - t0 < 0.5
 
     def test_opt_phase_m0_and_m1(self):
         assert np.allclose(opt_phase_state(0).amplitudes, [1.0])

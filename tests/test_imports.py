@@ -1,0 +1,91 @@
+"""What a fresh interpreter imports: only the LP solve loads SciPy.
+
+Every command but ``convert`` is closed-form linear algebra, so ``import
+waylab`` and those commands must leave ``scipy`` out of ``sys.modules``;
+``deterministic_convertible`` imports ``scipy.optimize`` on its first call.
+Each test runs in a new interpreter, because this one has long since
+imported whatever the other tests needed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+# Runs the perfbench CLI variants named in argv in-process and prints, per
+# variant, whether its exit code and stdout sha256 match the recorded ones
+# and which scipy modules are loaded after it.
+RUN_VARIANTS = r"""
+import hashlib, importlib.util, json, sys, tempfile
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+bench = Path(sys.argv[1])
+spec = importlib.util.spec_from_file_location("waylab_bench_workloads", bench / "workloads.py")
+workloads = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = workloads
+spec.loader.exec_module(workloads)
+digests = json.loads((bench / "cli_digests.json").read_text())
+report = {"before": scipy_modules(), "runs": []}
+with tempfile.TemporaryDirectory() as tmp:
+    for key in sys.argv[2:]:
+        form, i = key.rsplit("/", 1)
+        argv, files = workloads.cli_variant(form, int(i))
+        paths = {name: str(Path(tmp) / f"{name}.json") for name in files}
+        for name, text in files.items():
+            Path(paths[name]).write_text(text)
+        code, stdout = workloads.cli_in_process([a.format(**paths) for a in argv])
+        want = digests[key]
+        report["runs"].append({
+            "key": key, "exit": code, "recorded_exit": want["exit"],
+            "digest_matches": hashlib.sha256(stdout).hexdigest() == want["sha256"],
+            "scipy": scipy_modules()})
+print(json.dumps(report))
+"""
+
+
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def run_variants(*keys):
+    return fresh_python("-c", RUN_VARIANTS, str(PERFBENCH), *keys)
+
+
+def test_import_waylab_loads_no_scipy():
+    loaded = fresh_python("-c", "import json, sys, waylab, waylab.cli; print(json.dumps("
+                          "[m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    assert loaded == []
+
+
+def test_commands_without_lp_load_no_scipy():
+    report = run_variants("twirl/0", "discriminate_uniform/0", "discriminate_coherent/0",
+                          "curves_fig2/0", "curves_fig3/0", "circuit/0", "ozawa_model/0",
+                          "ozawa_bound/0")
+    assert report["before"] == []
+    for run in report["runs"]:
+        assert run["exit"] == run["recorded_exit"] == 0, run
+        assert run["digest_matches"], run
+        assert run["scipy"] == [], run
+
+
+def test_convert_loads_lp_solver_on_first_use():
+    report = run_variants("convert_feasible/0", "convert_infeasible/0")
+    assert report["before"] == []
+    feasible, infeasible = report["runs"]
+    assert (feasible["exit"], infeasible["exit"]) == (0, 1)
+    for run in (feasible, infeasible):
+        assert run["exit"] == run["recorded_exit"], run
+        assert run["digest_matches"], run
+        assert "scipy.optimize" in run["scipy"], run

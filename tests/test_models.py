@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import signal
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian, random_pure
-from oracles import supports_orthogonal
+from oracles import coherent_mle_log_series, supports_orthogonal
 from waylab.discrimination import Criterion, perfect_discrimination_possible
-from waylab.graded import (GradedSpace, Observable, PureState, coherent_state,
-                           expectation, number_operator, uniform_state)
+from waylab.graded import (GradedSpace, NumericalError, Observable, PureState,
+                           coherent_state, expectation, number_operator,
+                           uniform_state)
 from waylab.models import (ModelReport, Verdict, WayScenario, coherent_mle_success,
                            coherent_model, coherent_ud_success,
                            coherent_ud_success_smooth, noise_of_model,
@@ -64,19 +66,32 @@ class TestCoherentModel:
         rep = coherent_model(math.sqrt(nbar), Criterion.MLE)
         assert abs(rep.success_numeric - coherent_mle_success(nbar)) < 1e-8
 
-    def test_mle_closed_form_underflow_fails_within_one_second(self):
-        # exp(-800) underflows to zero, so the series' stopping test never fires
+    def test_mle_closed_form_past_underflow_returns_within_one_second(self):
+        # exp(-800) underflows to zero, so no term may start from it
         def expire(signum, frame):
             raise TimeoutError("coherent_mle_success(800) still running after 1 s")
 
         previous = signal.signal(signal.SIGALRM, expire)
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         try:
-            with pytest.raises(ValueError, match="underflows"):
-                coherent_mle_success(800.0)
+            value = coherent_mle_success(800.0)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+        assert value == pytest.approx(coherent_mle_log_series(800.0), abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [700.0, 720.0, 740.0, 744.0, 800.0, 1e4])
+    def test_mle_closed_form_matches_log_series_past_subnormal_start(self, nbar):
+        # exp(-nbar) is subnormal above ~708 and zero above ~745; a series
+        # that starts from it drifts above 1 (1.2879 at 744)
+        value = coherent_mle_success(nbar)
+        assert value <= 1.0
+        assert value == pytest.approx(coherent_mle_log_series(nbar), abs=1e-12)
+
+    def test_mle_closed_form_mismatch_is_numerical_error(self):
+        rep = coherent_model(1.0, Criterion.MLE)
+        with pytest.raises(NumericalError, match="disagree"):
+            dataclasses.replace(rep, success_closed_form=rep.success_numeric + 1e-6)
 
     def test_ud_value_at_nbar_one(self):
         rep = coherent_model(1.0, Criterion.UD)
