@@ -7,18 +7,24 @@ target iff p is a mixture of integer translates of q,
     p = sum_k w_k T^(k) q,   w_k >= 0,  sum_k w_k = 1,
 
 where T^(k) shifts a distribution's support up by k.  The mixture is a
-convolution p = w * q, which is what both the LP solver and its tests exploit.
+convolution p = w * q.  Supports add under convolution, so every solution w
+lives on the shifts [min p - min q, max p - max q]; on that window the
+translate matrix is banded Toeplitz with full column rank, and one
+least-squares solve decides the pair.  A HiGHS LP over the wider shift window
+runs only when a certificate's ``residual`` is read, which is what
+``waylab convert`` prints.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .graded import EPS_NUM, PureState, number_operator, variance
+from .graded import EPS_NUM, NumericalError, PureState, number_operator, variance
 
 FEASIBILITY_TOL = 1e-8
 
@@ -81,16 +87,17 @@ class ChargeDistribution:
 
 @dataclass(frozen=True)
 class ConversionCertificate:
-    """Outcome of a deterministic-convertibility query.
+    """Outcome of a deterministic-convertibility query for the pair (p, q).
 
-    ``weights`` (present iff feasible) are the translate weights w_k;
-    ``residual`` is the best achievable L1 distance between p and the
-    translate mixture of q.
+    ``weights`` (present iff feasible) are the translate weights w_k.
+    ``residual`` is the best achievable L1 distance between p and a translate
+    mixture of q; it is solved as an LP on first access.
     """
 
     feasible: bool
-    residual: float
     weights: dict[int, float] | None = None
+    p: ChargeDistribution | None = field(default=None, repr=False)
+    q: ChargeDistribution | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.feasible:
@@ -100,10 +107,25 @@ class ConversionCertificate:
                 raise ValueError("negative weight in certificate")
             if abs(math.fsum(self.weights.values()) - 1.0) > EPS_NUM:
                 raise ValueError("weights do not sum to one")
-            if self.residual > FEASIBILITY_TOL:
-                raise ValueError("feasible certificate with residual above tolerance")
         elif self.weights is not None:
             raise ValueError("infeasible certificate must not carry weights")
+
+    @cached_property
+    def residual(self) -> float:
+        """HiGHS LP optimum of min ||p - sum_k w_k T^(k) q||_1 over the simplex.
+
+        Raises :class:`NumericalError` when the LP contradicts the verdict,
+        i.e. when the residual and ``FEASIBILITY_TOL`` disagree with
+        ``feasible``.
+        """
+        if self.p is None or self.q is None:
+            raise ValueError("certificate carries no pair to solve")
+        residual = _lp_residual(self.p, self.q)
+        if (residual <= FEASIBILITY_TOL) != self.feasible:
+            raise NumericalError(
+                f"convertibility solvers disagree: verdict feasible={self.feasible}, "
+                f"LP residual {residual:.3g} against tolerance {FEASIBILITY_TOL:g}")
+        return residual
 
 
 class Comparison(enum.Enum):
@@ -135,31 +157,25 @@ def frameness_entropy(state: PureState) -> float:
 
 
 def _mixture_matrix(p: ChargeDistribution, q: ChargeDistribution):
-    """Shift window, index window and the translate matrix A[j, k] = q_{j-k}."""
+    """Translate matrix A[j, k] = q_{j-k} over the combined support span, and p
+    on the same index window."""
     kmin = p.min_charge() - q.max_charge()
     kmax = p.max_charge() - q.min_charge()
-    shifts = list(range(kmin, kmax + 1))
     jlo = min(p.min_charge(), q.min_charge() + kmin)
     jhi = max(p.max_charge(), q.max_charge() + kmax)
-    a = np.zeros((jhi - jlo + 1, len(shifts)))
-    for ki, k in enumerate(shifts):
+    a = np.zeros((jhi - jlo + 1, kmax - kmin + 1))
+    for ki, k in enumerate(range(kmin, kmax + 1)):
         a[:, ki] = q.shifted(k).as_vector(jlo, jhi)
-    return shifts, a, p.as_vector(jlo, jhi)
+    return a, p.as_vector(jlo, jhi)
 
 
-def deterministic_convertible(p: ChargeDistribution,
-                              q: ChargeDistribution) -> ConversionCertificate:
-    """Can the state with distribution p be converted deterministically to q?
-
-    Solves min ||p - sum_k w_k T^(k) q||_1 over the probability simplex of
-    translate weights (shifts clamped to the combined support span) as a
-    bounded-variable LP in the standard slack formulation; feasible iff the
-    optimal residual is at most ``FEASIBILITY_TOL``.
-    """
-    # SciPy loads on the first LP solve, so that commands without one never pay for it
+def _lp_residual(p: ChargeDistribution, q: ChargeDistribution) -> float:
+    """Best L1 fit of p by a translate mixture of q, as a bounded-variable LP in
+    the standard slack formulation, solved by HiGHS."""
+    # SciPy loads on the first LP solve, so that callers without one never pay for it
     from scipy.optimize import linprog
 
-    shifts, a, pv = _mixture_matrix(p, q)
+    a, pv = _mixture_matrix(p, q)
     nj, nk = a.shape
     cost = np.concatenate([np.zeros(nk), np.ones(nj)])
     a_ub = np.block([[a, -np.eye(nj)], [-a, -np.eye(nj)]])
@@ -168,14 +184,43 @@ def deterministic_convertible(p: ChargeDistribution,
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
                   bounds=[(0, None)] * (nk + nj), method="highs")
     if not res.success:  # pragma: no cover - tiny LPs always solve
-        raise RuntimeError(f"LP solver failed: {res.message}")
+        raise NumericalError(f"LP solver failed: {res.message}")
     w = np.clip(res.x[:nk], 0.0, None)
     w /= w.sum()
-    residual = float(np.abs(pv - a @ w).sum())
-    if residual <= FEASIBILITY_TOL:
-        weights = {k: float(wk) for k, wk in zip(shifts, w) if wk > 1e-12}
-        return ConversionCertificate(True, residual, weights)
-    return ConversionCertificate(False, residual)
+    return float(np.abs(pv - a @ w).sum())
+
+
+def deterministic_convertible(p: ChargeDistribution,
+                              q: ChargeDistribution) -> ConversionCertificate:
+    """Can the state with distribution p be converted deterministically to q?
+
+    Any solution of p = w * q lies on the support-forced shift window
+    [min p - min q, max p - max q], which is empty when q spans more charges
+    than p.  On the window the translate matrix is banded Toeplitz with full
+    column rank, so its least-squares solution is the unique candidate.  Its
+    weights are clipped at zero and renormalized, and the pair is feasible iff
+    they reproduce p to within ``FEASIBILITY_TOL`` in L1.  No LP runs here;
+    reading the certificate's ``residual`` solves one.
+    """
+    span_p = p.max_charge() - p.min_charge()
+    span_q = q.max_charge() - q.min_charge()
+    if span_q > span_p:
+        return ConversionCertificate(False, None, p, q)
+    nk = span_p - span_q + 1
+    qv = q.as_vector(q.min_charge(), q.max_charge())
+    pv = p.as_vector(p.min_charge(), p.max_charge())
+    a = np.zeros((span_p + 1, nk))
+    for k in range(nk):
+        a[k:k + span_q + 1, k] = qv
+    # a^T a is positive definite and a^T pv >= 0 is nonzero, so the solution
+    # has a positive entry and the clipped weights a positive sum
+    w = np.clip(np.linalg.lstsq(a, pv, rcond=None)[0], 0.0, None)
+    w /= w.sum()
+    if np.abs(pv - a @ w).sum() > FEASIBILITY_TOL:
+        return ConversionCertificate(False, None, p, q)
+    k0 = p.min_charge() - q.min_charge()
+    weights = {k0 + k: float(wk) for k, wk in enumerate(w) if wk > 1e-12}
+    return ConversionCertificate(True, weights, p, q)
 
 
 def stochastic_reachable_from_uniform(max_charge: int,

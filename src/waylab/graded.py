@@ -418,13 +418,27 @@ def coherent_state(alpha: float, tail_mass: float = 1e-12) -> PureState:
         raise NumericalError(
             f"coherent state with mean charge {lam:g}: exp(-{lam:g}) is below the "
             "smallest normal float, so the Poisson truncation cannot be placed")
-    while 1.0 - math.fsum(pmf) >= tail_mass:
+    # the kept mass is held exactly, in units of the smallest subnormal 2**-1074;
+    # int division rounds correctly, so kept / _SUBNORMAL_UNITS equals
+    # math.fsum(pmf) bit for bit without re-summing the list
+    kept = _subnormal_units(pmf[0])
+    while 1.0 - kept / _SUBNORMAL_UNITS >= tail_mass:
         pmf.append(pmf[-1] * lam / len(pmf))
         if pmf[-1] == 0.0:  # the terms underflowed: nothing more can be added
             raise NumericalError("truncation did not converge")
+        kept += _subnormal_units(pmf[-1])
     amps = np.sqrt(np.array(pmf))
     amps /= np.linalg.norm(amps)
     return PureState(GradedSpace.ladder(len(pmf) - 1), amps)
+
+
+_SUBNORMAL_UNITS = 1 << 1074
+
+
+def _subnormal_units(x: float) -> int:
+    """x as an exact integer multiple of 2**-1074 (for 0 <= x <= 1)."""
+    num, den = x.as_integer_ratio()
+    return num * (_SUBNORMAL_UNITS // den)
 
 
 def opt_phase_state(max_charge: int) -> PureState:

@@ -178,6 +178,22 @@ def coherent_mle_log_series(nbar: float, digits: int = 40) -> float:
         return float(total / 4)
 
 
+def coherent_amplitudes_resumming(alpha: float, tail_mass: float = 1e-12) -> np.ndarray:
+    """Truncated coherent-state amplitudes, re-summing the whole pmf each step.
+
+    The quadratic reference for ``graded.coherent_state``: append Poisson terms
+    by the recursion p_n = p_{n-1} lam / n while ``1 - fsum(pmf)`` is at least
+    ``tail_mass``, with ``fsum`` taken over the full list at every step, then
+    renormalize the square roots.  Assumes exp(-alpha^2) is a normal float.
+    """
+    lam = alpha * alpha
+    pmf = [math.exp(-lam)]
+    while 1.0 - math.fsum(pmf) >= tail_mass:
+        pmf.append(pmf[-1] * lam / len(pmf))
+    amps = np.sqrt(np.array(pmf))
+    return amps / np.linalg.norm(amps)
+
+
 # ---------------------------------------------------------------------------
 # support orthogonality
 # ---------------------------------------------------------------------------

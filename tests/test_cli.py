@@ -136,6 +136,22 @@ class TestConvert:
         q = write_dist(tmp_path, "q.json", {0: 1.0})
         assert run_cli("convert", p, q).returncode == 2
 
+    def test_solver_disagreement_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a feasible verdict that the residual's LP contradicts must not print
+        from waylab import cli
+        from waylab.convert import ConversionCertificate
+
+        def lying(p, q):
+            return ConversionCertificate(True, {0: 1.0}, p, q)
+
+        monkeypatch.setattr(cli, "deterministic_convertible", lying)
+        p = write_dist(tmp_path, "p.json", {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25})
+        q = write_dist(tmp_path, "q.json", {0: 0.5, 3: 0.5})
+        assert cli.main(["convert", p, q]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: convertibility solvers disagree")
+
 
 class TestDiscriminateCommand:
     def test_uniform_ud(self):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import convertible_exact, simplex_grid_witness
-from waylab.convert import (ChargeDistribution, Comparison,
+from oracles import convertible_exact, convolution_quotient, simplex_grid_witness
+from waylab.convert import (FEASIBILITY_TOL, ChargeDistribution, Comparison,
                             ConversionCertificate, charge_distribution,
                             compare, deterministic_convertible,
                             frameness_entropy, stochastic_reachable_from_uniform,
                             variance_measure)
-from waylab.graded import GradedSpace, PureState, coherent_state, uniform_state
+from waylab.graded import (GradedSpace, NumericalError, PureState, coherent_state,
+                           uniform_state)
 
 UNIFORM4 = ChargeDistribution({0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25})
 
@@ -176,6 +177,83 @@ class TestDeterministicConvertible:
                     ChargeDistribution(p), ChargeDistribution(q)).feasible
 
 
+def _fractions(units):
+    total = sum(units)
+    return {n: Fraction(u, total) for n, u in enumerate(units) if u}
+
+
+def _convolve(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+@st.composite
+def _units(draw, n, interior, ends=st.integers(1, 16)):
+    """n unit counts: drawn from ``ends`` at both ends, ``interior`` between."""
+    outer = draw(st.lists(ends, min_size=min(n, 2), max_size=min(n, 2)))
+    inner = draw(st.lists(interior, min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    return outer[:1] + inner + outer[1:]
+
+
+@st.composite
+def wide_pairs(draw):
+    """A rational pair (p, q) whose source p spans up to 60 charges.
+
+    kind 0: feasible, generic weights; 1: feasible, weights at the boundary
+    (interior zeros and weights ~1e-6); 2: feasible, supports far apart;
+    3: infeasible by moving 1/4096 of p's mass to a neighbour; 4: independent p;
+    5: infeasible, as q divides p but the quotient has a negative weight.
+    """
+    width, kind = draw(st.integers(2, 60)), draw(st.integers(0, 5))
+    ww = max(1, width // 4)
+    q = _fractions(draw(_units(width - ww + 1, st.integers(1, 16))))
+    if kind == 1:
+        big = st.integers(10_000, 100_000)
+        w = _fractions(draw(_units(ww, st.one_of(st.just(0), st.just(1), big), big)))
+    elif kind == 5:
+        # a neighbour weight of at least 20 keeps every p_n positive against -q_n
+        units = draw(_units(max(ww, 3), st.integers(20, 40), st.integers(20, 40)))
+        units[draw(st.integers(1, len(units) - 2))] = -1
+        w = _fractions(units)
+    else:
+        w = _fractions(draw(_units(ww, st.integers(1, 16))))
+    p = _convolve(w, q)
+    if kind == 2:
+        shift = draw(st.integers(200, 1000))
+        p = {n + shift: x for n, x in p.items()}
+    elif kind == 3:
+        movable = sorted(n for n in p if p[n] >= Fraction(1, 4096) and n + 1 in p)
+        n = draw(st.sampled_from(movable))
+        p[n] -= Fraction(1, 4096)
+        p[n + 1] += Fraction(1, 4096)
+    elif kind == 4:
+        p = _fractions(draw(_units(width, st.integers(0, 16))))
+    return p, q
+
+
+class TestWindowAgainstLp:
+    """The window solve's verdict and weights against the exact quotient, and
+    its verdict against the LP residual."""
+
+    @given(wide_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_window_solve_matches_oracles_and_lp(self, pair):
+        p_frac, q_frac = pair
+        cert = deterministic_convertible(
+            ChargeDistribution({n: float(x) for n, x in p_frac.items()}),
+            ChargeDistribution({n: float(x) for n, x in q_frac.items()}))
+        assert cert.feasible == convertible_exact(p_frac, q_frac)
+        if cert.feasible:
+            quotient = convolution_quotient(p_frac, q_frac)
+            assert set(cert.weights) <= set(quotient)
+            for k, wk in quotient.items():
+                assert abs(cert.weights.get(k, 0.0) - float(wk)) <= 1e-6, k
+        assert (cert.residual <= FEASIBILITY_TOL) == cert.feasible
+
+
 def _eighth_grid_distributions():
     out = []
 
@@ -264,12 +342,33 @@ class TestCompare:
 class TestCertificateInvariants:
     def test_feasible_requires_weights(self):
         with pytest.raises(ValueError):
-            ConversionCertificate(True, 0.0, None)
+            ConversionCertificate(True, None)
 
     def test_infeasible_rejects_weights(self):
         with pytest.raises(ValueError):
-            ConversionCertificate(False, 0.5, {0: 1.0})
+            ConversionCertificate(False, {0: 1.0})
 
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError):
-            ConversionCertificate(True, 0.0, {0: 0.4})
+            ConversionCertificate(True, {0: 0.4})
+
+    def test_lp_contradicting_a_feasible_verdict_is_numerical_error(self):
+        cert = ConversionCertificate(True, {0: 1.0}, UNIFORM4, dist(**{"0": 0.5, "3": 0.5}))
+        with pytest.raises(NumericalError, match="solvers disagree"):
+            cert.residual
+
+    def test_lp_contradicting_an_infeasible_verdict_is_numerical_error(self):
+        cert = ConversionCertificate(False, None, UNIFORM4, dist(**{"0": 0.5, "1": 0.5}))
+        with pytest.raises(NumericalError, match="solvers disagree"):
+            cert.residual
+
+    def test_residual_is_solved_once(self):
+        cert = deterministic_convertible(UNIFORM4, dist(**{"0": 0.5, "3": 0.5}))
+        assert "residual" not in vars(cert)
+        first = cert.residual
+        assert vars(cert)["residual"] == first
+        assert cert.residual is first
+
+    def test_residual_needs_the_pair(self):
+        with pytest.raises(ValueError, match="no pair"):
+            ConversionCertificate(True, {0: 1.0}).residual

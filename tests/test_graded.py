@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_pure
-from oracles import composite_order
+from oracles import coherent_amplitudes_resumming, composite_order
 from waylab.graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
                            NumericalError, Observable, PureState, coherent_state,
                            expectation, g_twirl, number_operator,
@@ -300,6 +300,27 @@ class TestStates:
                 pmf.append(pmf[-1] * lam / n)
             assert 1 - sum(pmf) < tail
             assert 1 - sum(pmf[:c]) >= tail
+
+    @pytest.mark.parametrize("nbar", [0.0, 1e-3, 0.5, 2.0, 10.0, 50.0, 150.0, 300.0,
+                                      450.0, 600.0, 700.0, 708.0])
+    def test_coherent_matches_resumming_reference(self, nbar):
+        # the running exact sum must place the same cutoff and give the same
+        # amplitude bits as re-summing the whole pmf at every step.  Besides
+        # two plain tails, try one on which the loop test holds with equality
+        # and the float above it, so that a sum one ulp off moves the cutoff
+        alpha = math.sqrt(nbar)
+        lam = alpha * alpha
+        pmf = [math.exp(-lam)]
+        for n in range(1, len(coherent_amplitudes_resumming(alpha, 1e-9)) - 1):
+            pmf.append(pmf[-1] * lam / n)
+        edge = 1.0 - math.fsum(pmf)
+        for tail in (1e-12, 1e-6, edge, math.nextafter(edge, 1.0)):
+            if not 0.0 < tail < 1.0:
+                continue
+            want = coherent_amplitudes_resumming(alpha, tail)
+            got = coherent_state(alpha, tail).amplitudes
+            assert len(got) == len(want), tail
+            assert got.tobytes() == want.astype(complex).tobytes(), tail
 
     @pytest.mark.parametrize("nbar", [720.0, 744.0, 800.0, 900.0, 1e4])
     def test_coherent_subnormal_start_fails_at_once(self, nbar):

@@ -1,10 +1,12 @@
-"""What a fresh interpreter imports: only the LP solve loads SciPy.
+"""What a fresh interpreter imports: only the printed residual loads SciPy.
 
-Every command but ``convert`` is closed-form linear algebra, so ``import
-waylab`` and those commands must leave ``scipy`` out of ``sys.modules``;
-``deterministic_convertible`` imports ``scipy.optimize`` on its first call.
-Each test runs in a new interpreter, because this one has long since
-imported whatever the other tests needed.
+Convertibility verdicts come from a NumPy least-squares solve, and every
+other command is closed-form linear algebra, so ``import waylab``, ``compare``,
+``deterministic_convertible`` and every command but ``convert`` must leave
+``scipy`` out of ``sys.modules``.  Only an LP solve, run when a certificate's
+``residual`` is first read (as ``convert`` does to print it), imports
+``scipy.optimize``.  Each test runs in a new interpreter, because this one has
+long since imported whatever the other tests needed.
 """
 
 import json
@@ -67,6 +69,35 @@ def test_import_waylab_loads_no_scipy():
     loaded = fresh_python("-c", "import json, sys, waylab, waylab.cli; print(json.dumps("
                           "[m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     assert loaded == []
+
+
+# Decides a pair and compares two states, then reads the certificate's
+# residual, and prints the scipy modules loaded after each stage.
+VERDICTS_THEN_RESIDUAL = r"""
+import json, sys
+from waylab import ChargeDistribution, compare, deterministic_convertible, uniform_state
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = {"before": scipy_modules()}
+ordering = compare(uniform_state(3), uniform_state(1))
+cert = deterministic_convertible(ChargeDistribution({0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}),
+                                 ChargeDistribution({0: 0.5, 1: 0.5}))
+report["verdict"] = [ordering.value, cert.feasible, sorted(cert.weights)]
+report["after_verdicts"] = scipy_modules()
+report["residual"] = cert.residual
+report["after_residual"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def test_verdicts_load_no_scipy_until_residual_is_read():
+    report = fresh_python("-c", VERDICTS_THEN_RESIDUAL)
+    assert report["verdict"] == ["a_to_b", True, [0, 2]]
+    assert report["before"] == report["after_verdicts"] == []
+    assert "scipy.optimize" in report["after_residual"]
+    assert report["residual"] <= 1e-8
 
 
 def test_commands_without_lp_load_no_scipy():
