@@ -153,6 +153,19 @@ class TestConvert:
         assert err.startswith("error: convertibility solvers disagree")
 
 
+    @pytest.mark.parametrize("d, code", [(5e-9, 0), (5.5e-9, 1)])
+    def test_tolerance_band_pairs_get_a_verdict(self, tmp_path, capsys, d, code):
+        # within a small factor of the tolerance the window's fit decides; the
+        # LP behind the printed residual does not turn either verdict into exit 3
+        from waylab import cli
+
+        p = write_dist(tmp_path, "p.json", {0: 0.45 - d, 1: 0.5, 2: 0.05 + d})
+        q = write_dist(tmp_path, "q.json", {0: 0.9, 1: 0.1})
+        assert cli.main(["convert", p, q]) == code
+        out = json.loads(capsys.readouterr().out)
+        assert out["feasible"] == (code == 0)
+        assert out["residual"] < 2e-8
+
 class TestDiscriminateCommand:
     def test_uniform_ud(self):
         res = run_cli("discriminate", "--resource", "uniform", "--param", "3",
