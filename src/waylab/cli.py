@@ -25,7 +25,7 @@ from .convert import (ChargeDistribution, charge_distribution,
                       deterministic_convertible, frameness_entropy,
                       variance_measure)
 from .discrimination import Criterion
-from .graded import EPS_NUM, NumericalError, Observable, g_twirl, number_operator
+from .graded import EPS_NUM, NumericalError, Observable, number_operator
 from .models import (ModelReport, coherent_model, coherent_ud_success_smooth,
                      opt_phase_model, ozawa_bound, ozawa_reference_curve,
                      uniform_model)
@@ -90,7 +90,7 @@ def cmd_twirl(args) -> int:
         state = serialize.state_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid state file: {exc}") from exc
-    blocks = g_twirl(state.density(), state.space)
+    blocks = state.twirl()
     payload = {
         "twirled": serialize.block_state_to_json(blocks),
         "charge_distribution": serialize.distribution_to_json(

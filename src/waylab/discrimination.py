@@ -120,7 +120,6 @@ class DiscriminationResult:
     fail_prob: float | None
     per_sector: tuple[tuple[int, float, float, SectorPovm], ...]
     """(charge, sector weight, sector success, sector POVM) per kept sector."""
-    global_effects: dict[str, np.ndarray]
     space: GradedSpace
 
     def __post_init__(self):
@@ -137,6 +136,31 @@ class DiscriminationResult:
             if n == charge:
                 return s
         raise ValueError(f"no sector with charge {charge}")
+
+    @property
+    def global_effects(self) -> dict[str, np.ndarray]:
+        """The global POVM: the direct sum of the sector effects, as dense matrices.
+
+        Sectors dropped for zero weight never fire; they are parked in the
+        inconclusive effect (UD) or with the plus projector (MLE tie
+        convention).  Every sector's spare effect takes eye - (plus + minus
+        [+ fail]), so a dropped sector's spare block is the identity and a kept
+        one's absorbs its round-off gap.
+        """
+        ud = self.criterion is Criterion.UD
+        labels = ("plus", "minus", "fail") if ud else ("plus", "minus")
+        spare = "fail" if ud else "plus"
+        dim = self.space.total_dim
+        out = {lab: np.zeros((dim, dim), dtype=complex) for lab in labels}
+        povms = {n: povm for n, _, _, povm in self.per_sector}
+        for n in self.space.charges:
+            sl = self.space.slice_of(n)
+            if n in povms:
+                for lab, eff in povms[n].effects().items():
+                    out[lab][sl, sl] = eff
+            covered = sum(out[lab][sl, sl] for lab in labels)
+            out[spare][sl, sl] += np.eye(sl.stop - sl.start) - covered
+        return out
 
 
 def raynal_reduce(ensemble: Ensemble,
@@ -289,19 +313,15 @@ def mle_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
 def discriminate(ensemble: Ensemble, criterion: Criterion) -> DiscriminationResult:
     """Optimal discrimination of a binary block-diagonal ensemble.
 
-    Reduces to the charge sectors, optimizes each with the requested
-    criterion, and direct-sums the sector effects into global POVM elements.
-    Per-sector results are assembled in charge order, so the output does not
-    depend on evaluation order.
+    Reduces to the charge sectors and optimizes each with the requested
+    criterion.  The result keeps the sector effects; its ``global_effects``
+    direct-sums them on access.  Per-sector results are assembled in charge
+    order, so the output does not depend on evaluation order.
     """
     if len(ensemble) != 2:
         raise ValueError("only binary ensembles are supported")
-    space = ensemble.space
-    dim = space.total_dim
     sectors = raynal_reduce(ensemble)
 
-    labels = ("plus", "minus", "fail") if criterion is Criterion.UD else ("plus", "minus")
-    global_effects = {lab: np.zeros((dim, dim), dtype=complex) for lab in labels}
     per_sector = []
     success = 0.0
     fail = 0.0
@@ -315,25 +335,14 @@ def discriminate(ensemble: Ensemble, criterion: Criterion) -> DiscriminationResu
                 pr * float(np.real(np.trace(povm.fail @ st)))
                 for pr, st in zip(sec.priors, sec.states))
             fail += sec.weight * sec_fail
-        sl = space.slice_of(sec.charge)
-        for lab, eff in povm.effects().items():
-            global_effects[lab][sl, sl] = eff
         per_sector.append((sec.charge, sec.weight, sec_success, povm))
-
-    # sectors dropped for zero weight never fire; park them in the inconclusive
-    # effect (UD) or with the plus projector (MLE tie convention)
-    covered = sum(eff for eff in global_effects.values())
-    leftover = np.eye(dim) - covered
-    spare = "fail" if criterion is Criterion.UD else "plus"
-    global_effects[spare] += leftover
 
     return DiscriminationResult(
         criterion=criterion,
         success_prob=success,
         fail_prob=fail if criterion is Criterion.UD else None,
         per_sector=tuple(per_sector),
-        global_effects=global_effects,
-        space=space,
+        space=ensemble.space,
     )
 
 

@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -101,19 +102,27 @@ class GradedSpace:
     def sector_dims(self) -> dict[int, int]:
         return dict(zip(self.charges, self.dims))
 
-    def dim_of(self, n: int) -> int:
+    @functools.cached_property
+    def _sectors(self) -> dict[int, tuple[int, int]]:
+        """charge -> (offset, dim), built once so that sector lookups are O(1)."""
+        offsets = itertools.accumulate(self.dims, initial=0)
+        return {n: (off, d) for n, off, d in zip(self.charges, offsets, self.dims)}
+
+    def _sector(self, n: int) -> tuple[int, int]:
         try:
-            return self.dims[self.charges.index(n)]
-        except ValueError:
+            return self._sectors[n]
+        except KeyError:
             raise ValueError(f"charge {n} not present in space") from None
 
+    def dim_of(self, n: int) -> int:
+        return self._sector(n)[1]
+
     def offset_of(self, n: int) -> int:
-        i = self.charges.index(n)
-        return sum(self.dims[:i])
+        return self._sector(n)[0]
 
     def slice_of(self, n: int) -> slice:
-        off = self.offset_of(n)
-        return slice(off, off + self.dim_of(n))
+        off, d = self._sector(n)
+        return slice(off, off + d)
 
     def charge_labels(self) -> np.ndarray:
         """Charge of every basis vector, in basis order."""
@@ -174,6 +183,19 @@ class PureState:
     def sector_component(self, n: int) -> np.ndarray:
         return self.amplitudes[self.space.slice_of(n)]
 
+    def twirl(self) -> "BlockState":
+        """The G-twirl of this state: the rank-1 block v_n v_n^dagger of every sector.
+
+        Entry for entry the blocks of ``g_twirl(self.density(), self.space)``,
+        without the dense density: a unit vector is PSD with unit trace by
+        construction, so no dense check is needed.
+        """
+        blocks = {}
+        for n in self.space.charges:
+            v = self.sector_component(n)
+            blocks[n] = np.outer(v, v.conj())
+        return BlockState(self.space, blocks)
+
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
@@ -226,9 +248,8 @@ class BlockState:
         checked: dict[int, np.ndarray] = {}
         total = 0.0
         for n in self.space.charges:
-            b = np.asarray(self.blocks.get(n, np.zeros((self.space.dim_of(n),) * 2)),
-                           dtype=complex)
             d = self.space.dim_of(n)
+            b = np.asarray(self.blocks.get(n, np.zeros((d, d))), dtype=complex)
             if b.shape != (d, d):
                 raise ValueError(f"block for charge {n} has wrong shape")
             if np.max(np.abs(b - b.conj().T)) > EPS_NUM:
@@ -355,22 +376,17 @@ def g_twirl(rho: np.ndarray, space: GradedSpace) -> BlockState:
     return BlockState(space, blocks)
 
 
-def _state_matrix(state) -> tuple[np.ndarray, bool]:
-    """Normalize the accepted state representations to (matrix-or-vector, is_vector)."""
-    if isinstance(state, PureState):
-        return state.amplitudes, True
-    if isinstance(state, BlockState):
-        return state.to_dense(), False
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        return arr, True
-    return arr, False
-
-
 def expectation(obs: Observable, state) -> float:
     """<X> in a pure state, density matrix or block state."""
-    mat, is_vec = _state_matrix(state)
-    if is_vec:
+    if isinstance(state, BlockState):
+        if state.space.total_dim != obs.space.total_dim:
+            raise ValueError("state dimension does not match observable")
+        sp = state.space
+        return float(sum(np.trace(obs.matrix[sp.slice_of(n), sp.slice_of(n)] @ b).real
+                         for n, b in state.blocks.items()))
+    mat = state.amplitudes if isinstance(state, PureState) \
+        else np.asarray(state, dtype=complex)
+    if mat.ndim == 1:
         if mat.shape != (obs.space.total_dim,):
             raise ValueError("state dimension does not match observable")
         return float(np.real(np.vdot(mat, obs.matrix @ mat)))

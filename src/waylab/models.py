@@ -23,7 +23,7 @@ from .discrimination import (Criterion, DiscriminationResult, Ensemble,
 from .discrimination import discriminate as _discriminate
 from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
                      NumericalError, Observable, PureState, _diagonal_of,
-                     coherent_state, g_twirl, opt_phase_state, tensor, uniform_state)
+                     coherent_state, opt_phase_state, tensor, uniform_state)
 
 __all__ = [
     "Verdict",
@@ -189,8 +189,8 @@ def twirled_pair_ensemble(resource: PureState) -> tuple[CompositeSpace, Ensemble
     """
     tm = tensor(resource.space, GradedSpace.qubit())
     e_plus, e_minus = plus_minus_eigenstates()
-    rho_p = g_twirl(tm.pure(resource, e_plus).density(), tm.space)
-    rho_m = g_twirl(tm.pure(resource, e_minus).density(), tm.space)
+    rho_p = tm.pure(resource, e_plus).twirl()
+    rho_m = tm.pure(resource, e_minus).twirl()
     return tm, Ensemble(((0.5, rho_p), (0.5, rho_m)))
 
 
@@ -237,29 +237,26 @@ def way_feasibility(scenario: WayScenario) -> tuple[Verdict, Ensemble]:
     """
     vals, vecs = np.linalg.eigh(scenario.observable.matrix)
 
-    if scenario.resource is not None:
-        tm = tensor(scenario.resource.space, scenario.system)
-        space = tm.space
-    else:
-        tm = None
-        space = scenario.system
+    tm = tensor(scenario.resource.space, scenario.system) \
+        if scenario.resource is not None else None
 
     kept: list[tuple[float, BlockState]] = []
     for k in range(len(vals)):
         if scenario.prior[k] <= EPS_NUM:
             continue
         vec = vecs[:, k]
-        if tm is not None:
-            vec = tm.pure(scenario.resource, vec).amplitudes
-        kept.append((scenario.prior[k], g_twirl(np.outer(vec, vec.conj()), space)))
+        state = tm.pure(scenario.resource, vec) if tm is not None \
+            else PureState(scenario.system, vec)
+        kept.append((scenario.prior[k], state.twirl()))
     total = math.fsum(p for p, _ in kept)
     ensemble = Ensemble(tuple((p / total, st) for p, st in kept))
 
     if perfect_discrimination_possible(ensemble):
         return Verdict.PERFECT, ensemble
 
-    states = [st.to_dense() for _, st in ensemble.items]
-    all_equal = all(np.max(np.abs(states[0] - s)) <= EPS_NUM for s in states[1:])
+    first = ensemble.items[0][1].blocks
+    all_equal = all(np.max(np.abs(first[n] - b)) <= EPS_NUM
+                    for _, st in ensemble.items[1:] for n, b in st.blocks.items())
     if all_equal:
         return Verdict.IMPOSSIBLE, ensemble
     return Verdict.APPROXIMATE_ONLY, ensemble

@@ -337,3 +337,28 @@ def dense_circuit_reference(model, system_rho, prob_cutoff: float = 1e-14):
     return {"outcomes": outcomes, "noise": noise, "noise_bound": bound,
             "conservation": _commutator_norm(v, number(range(len(dims)))),
             "yanase": _commutator_norm(z_app, n_a)}
+
+
+# ---------------------------------------------------------------------------
+# discrimination
+# ---------------------------------------------------------------------------
+
+def dense_global_effects(result):
+    """Dense global POVM of a discrimination result, assembled over the whole space.
+
+    Zero matrices take each kept sector's effects by slice assignment; then
+    eye - (plus + minus [+ fail]) goes to the spare effect (``fail`` for UD,
+    ``plus`` for MLE), which also parks every sector dropped for zero weight.
+    """
+    space = result.space
+    dim = space.total_dim
+    ud = result.criterion.value == "ud"
+    labels = ("plus", "minus", "fail") if ud else ("plus", "minus")
+    effects = {lab: np.zeros((dim, dim), dtype=complex) for lab in labels}
+    for charge, _, _, povm in result.per_sector:
+        sl = space.slice_of(charge)
+        for lab, eff in povm.effects().items():
+            effects[lab][sl, sl] = eff
+    covered = sum(eff for eff in effects.values())
+    effects["fail" if ud else "plus"] += np.eye(dim) - covered
+    return effects

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_pure
-from oracles import mle_trace_norm_success, random_projective_success, ud_grid_search
+from oracles import (dense_global_effects, mle_trace_norm_success,
+                     random_projective_success, ud_grid_search)
 from waylab.discrimination import (Criterion, Ensemble, SectorPovm,
                                    discriminate, mle_two_states,
                                    perfect_discrimination_possible,
                                    raynal_reduce, ud_two_states)
-from waylab.graded import GradedSpace, NumericalError, g_twirl, uniform_state
+from waylab.graded import (GradedSpace, NumericalError, coherent_state, g_twirl,
+                           opt_phase_state, uniform_state)
 from waylab.models import twirled_pair_ensemble
 
 QUBIT = GradedSpace.qubit()
@@ -236,6 +238,22 @@ class TestDiscriminate:
             for eff in res.global_effects.values():
                 assert np.linalg.eigvalsh(eff)[0] > -1e-10
 
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    @pytest.mark.parametrize("resource", [
+        uniform_state, opt_phase_state,
+        lambda i: coherent_state(0.1 + 0.15 * (i - 1), 1e-12),
+    ], ids=["uniform", "opt_phase", "coherent"])
+    def test_global_effects_match_dense_assembly(self, resource, criterion):
+        # the blockwise spare correction must reproduce the dense assembly bit
+        # for bit, round-off corrections in kept sectors included
+        for i in range(1, 41):
+            _, ensemble = twirled_pair_ensemble(resource(i))
+            res = discriminate(ensemble, criterion)
+            got, want = res.global_effects, dense_global_effects(res)
+            assert list(got) == list(want)
+            for label in want:
+                assert got[label].tobytes() == want[label].tobytes(), (i, label)
+
     def test_ud_no_error_globally(self):
         _, ensemble = twirled_pair_ensemble(uniform_state(4))
         res = discriminate(ensemble, Criterion.UD)
@@ -264,6 +282,8 @@ class TestDiscriminate:
             total = sum(res.global_effects.values())
             assert np.allclose(total, np.eye(3), atol=1e-12)
             assert res.success_prob == pytest.approx(1.0)
+            spare = res.global_effects["fail" if criterion is Criterion.UD else "plus"]
+            assert spare[2, 2] == 1.0
 
     def test_ud_never_beats_mle(self, rng):
         # merging the inconclusive outcome into either answer turns a UD POVM

@@ -42,6 +42,15 @@ class TestGradedSpace:
         assert sp.charges == (0, 1, 2)
         assert sp.dims == (1, 1, 2)
 
+    def test_sector_lookups(self):
+        sp = GradedSpace((-1, 2, 5), (2, 1, 3))
+        assert [sp.offset_of(n) for n in sp.charges] == [0, 2, 3]
+        assert [sp.dim_of(n) for n in sp.charges] == [2, 1, 3]
+        assert sp.slice_of(5) == slice(3, 6)
+        for lookup in (sp.dim_of, sp.offset_of, sp.slice_of):
+            with pytest.raises(ValueError, match="charge 0 not present in space"):
+                lookup(0)
+
 
 class TestNumberOperator:
     def test_qubit(self):
@@ -167,6 +176,31 @@ class TestGTwirl:
             sl = tm.space.slice_of(n)
             expected[sl, sl] = np.full((2, 2), 1.0 / (2 * (m + 1)))
         assert np.allclose(bs.to_dense(), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("resource", [
+        coherent_state(0.5), coherent_state(3.0), coherent_state(20.0),
+        uniform_state(1), uniform_state(7), opt_phase_state(1), opt_phase_state(9),
+    ], ids=["coherent-0.5", "coherent-3", "coherent-20", "uniform-1", "uniform-7",
+            "opt_phase-1", "opt_phase-9"])
+    def test_pure_twirl_equals_dense_twirl(self, resource):
+        # bit for bit, on the resource alone and on resource (x) e+-
+        tm = tensor(resource.space, QUBIT)
+        e_minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        for psi in (resource, tm.pure(resource, E_PLUS), tm.pure(resource, e_minus)):
+            dense = g_twirl(psi.density(), psi.space)
+            blocks = psi.twirl()
+            for n in psi.space.charges:
+                assert blocks.block(n).tobytes() == dense.block(n).tobytes()
+
+    def test_pure_twirl_equals_dense_twirl_on_wide_sectors(self, rng):
+        tm = tensor(GradedSpace((0, 1, 2), (1, 2, 1)), QUBIT)
+        assert max(tm.space.dims) > 1
+        for _ in range(20):
+            psi = PureState(tm.space, random_pure(rng, tm.space.total_dim))
+            dense = g_twirl(psi.density(), tm.space)
+            blocks = psi.twirl()
+            for n in tm.space.charges:
+                assert blocks.block(n).tobytes() == dense.block(n).tobytes()
 
     def test_idempotent(self, rng):
         sp = GradedSpace((0, 1, 2), (2, 2, 1))

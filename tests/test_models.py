@@ -9,8 +9,8 @@ from conftest import random_density, random_hermitian, random_pure
 from oracles import coherent_mle_log_series, supports_orthogonal
 from waylab.discrimination import Criterion, perfect_discrimination_possible
 from waylab.graded import (GradedSpace, NumericalError, Observable, PureState,
-                           coherent_state, expectation, number_operator,
-                           uniform_state)
+                           coherent_state, expectation, g_twirl, number_operator,
+                           tensor, uniform_state)
 from waylab.models import (ModelReport, Verdict, WayScenario, coherent_mle_success,
                            coherent_model, coherent_ud_success,
                            coherent_ud_success_smooth, noise_of_model,
@@ -132,6 +132,30 @@ class TestCoherentModel:
             coherent_model(0.0, Criterion.UD)
 
 
+class TestSectorNativeReadout:
+    @pytest.mark.parametrize("build, closed", [
+        (lambda: coherent_model(20.0, Criterion.UD), coherent_ud_success(400.0)),
+        (lambda: uniform_model(300, Criterion.MLE), uniform_mle_success(300)),
+    ], ids=["coherent_ud_nbar400", "uniform_mle_m300"])
+    def test_no_decomposition_beyond_sector_size(self, monkeypatch, build, closed):
+        # the readout twirls, checks and solves block by block: no dense
+        # d x d matrix ever reaches LAPACK
+        shapes = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        report = build()
+        assert shapes
+        assert max(max(sh[-2:]) for sh in shapes) <= 2
+        assert abs(report.success_numeric - closed) <= 1e-8
+
+
 class TestOptPhaseModel:
     def test_m1_equals_uniform(self):
         assert opt_phase_model(1).success_numeric == pytest.approx(
@@ -228,6 +252,22 @@ class TestWayFeasibility:
         verdict, ensemble = way_feasibility(scenario)
         assert verdict is Verdict.APPROXIMATE_ONLY
         assert not perfect_discrimination_possible(ensemble)
+
+    @pytest.mark.parametrize("resource", [None, coherent_state(1.0)],
+                             ids=["no_resource", "coherent"])
+    def test_twirled_eigenstates_match_dense_pinching(self, rng, resource):
+        space = GradedSpace((0, 1, 2), (1, 2, 1))
+        l_mat = random_hermitian(rng, space.total_dim)
+        scenario = WayScenario(space, Observable(space, l_mat), (0.25,) * 4, resource)
+        _, ensemble = way_feasibility(scenario)
+        _, vecs = np.linalg.eigh(scenario.observable.matrix)
+        for k, (_, state) in enumerate(ensemble.items):
+            vec = vecs[:, k]
+            if resource is not None:
+                vec = tensor(resource.space, space).pure(resource, vec).amplitudes
+            dense = g_twirl(np.outer(vec, vec.conj()), state.space)
+            for n in state.space.charges:
+                assert state.block(n).tobytes() == dense.block(n).tobytes()
 
     def test_degenerate_spectrum_rejected(self):
         obs = Observable(QUBIT, np.eye(2))
