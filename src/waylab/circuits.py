@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import (EPS_NUM, CompositeSpace, GradedSpace, Observable, _diagonal_of,
-                     _freeze, number_operator, uniform_state)
+from .graded import (EPS_NUM, CompositeSpace, GradedSpace, Observable, _freeze,
+                     number_operator, uniform_state)
 from .models import _model_noise, ozawa_bound, plus_minus_eigenstates
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
 POINTER_VALUES = {"plus": 1.0, "minus": -1.0, "fail": 0.0}
+PROB_CUTOFF = 1e-14  # outcomes at or below this probability get no post-measurement state
 
 __all__ = [
     "PLUS_MINUS_OBSERVABLE",
@@ -54,28 +55,25 @@ def _commutator_norm(a: np.ndarray, n: np.ndarray) -> float:
     return float(np.linalg.norm(comm, 2)) if comm.any() else 0.0
 
 
-def _pointer_diagonal(composite: CompositeSpace, pointer: dict[str, np.ndarray],
-                      values: dict[str, float] | None = None) -> np.ndarray:
-    """Pointer observable as a diagonal over the composite basis.
+def _pointer_diagonal(composite: CompositeSpace, pointer: dict[str, np.ndarray]) -> np.ndarray:
+    """The pointer observable, valued by :data:`POINTER_VALUES`, as a composite-basis diagonal.
 
     The trailing wires of ``composite`` must be the register bank the pointer
     masks live on, so the register index is the Kronecker index modulo the
-    bank dimension.  ``values`` default to :data:`POINTER_VALUES`.
+    bank dimension.
     """
-    values = POINTER_VALUES if values is None else values
     zreg = np.zeros(len(next(iter(pointer.values()))))
     for label, mask in pointer.items():
-        zreg += values.get(label, 0.0) * mask
+        zreg += POINTER_VALUES.get(label, 0.0) * mask
     return zreg[composite.kron_index % zreg.size]
 
 
 @dataclass(frozen=True, eq=False)
 class ConservingUnitary:
-    """Unitary that commutes with the total number operator (diagonal in the graded basis)."""
+    """Unitary on ``space`` that commutes with its total charge, diag(space.charge_labels())."""
 
     space: GradedSpace
     matrix: np.ndarray
-    charge_observable: Observable
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -84,8 +82,7 @@ class ConservingUnitary:
             raise ValueError("matrix does not match space dimension")
         if unitarity_deviation(m) > EPS_NUM:
             raise ValueError("matrix is not unitary within tolerance")
-        n = _diagonal_of(self.charge_observable, d, "charge observable")
-        if _commutator_norm(m, n) > EPS_NUM:
+        if _commutator_norm(m, self.space.charge_labels()) > EPS_NUM:
             raise ValueError("matrix does not conserve the total charge")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -97,14 +94,13 @@ class MeasurementModel:
     ``init`` holds one pure vector per wire, ``None`` marking the system wire
     where the input goes.  ``pointer`` maps outcome labels to diagonal 0/1
     vectors over the register-bank Kronecker basis (they partition it); the
-    register wires are the trailing ``register_count`` wires.
+    register wires are the trailing ``register_count`` qubit wires, a count
+    read off the mask length.
     """
 
     kind: str
     m: int
     composite: CompositeSpace
-    system_wire: int
-    register_count: int
     init: tuple[np.ndarray | None, ...]
     unitary: ConservingUnitary
     pointer: dict[str, np.ndarray]
@@ -118,8 +114,17 @@ class MeasurementModel:
                        if abs(a) > EPS_NUM}
             if len(support) != 1:
                 raise ValueError("register wire does not start in a charge eigenstate")
-        if verify_yanase(self) > EPS_NUM:  # pragma: no cover - structural
-            raise ValueError("pointer violates the Yanase condition")
+
+    @property
+    def system_wire(self) -> int:
+        """The wire whose ``init`` is ``None``."""
+        # by identity: tuple.index(None) would compare None with the arrays
+        return next(i for i, vec in enumerate(self.init) if vec is None)
+
+    @property
+    def register_count(self) -> int:
+        """Number of register qubits: the pointer masks span 2**register_count entries."""
+        return len(next(iter(self.pointer.values()))).bit_length() - 1
 
     @property
     def system_space(self) -> GradedSpace:
@@ -132,8 +137,8 @@ class MeasurementModel:
         """The composite of every wire but the system, in wire order."""
         return CompositeSpace.of([self.composite.wires[i] for i in self.apparatus_wires()])
 
-    def pointer_observable(self, values: dict[str, float] | None = None) -> Observable:
-        diag = _pointer_diagonal(self.composite, self.pointer, values)
+    def pointer_observable(self) -> Observable:
+        diag = _pointer_diagonal(self.composite, self.pointer)
         return Observable(self.composite.space, np.diag(diag))
 
     def system_operator_full(self, op: np.ndarray) -> np.ndarray:
@@ -158,13 +163,12 @@ class MeasurementModel:
         rho = app.pure(*(self.init[i] for i in self.apparatus_wires())).density()
         return rho, number_operator(app.space), app.space
 
-    def noise(self, system_rho: np.ndarray,
-              values: dict[str, float] | None = None) -> float:
+    def noise(self, system_rho: np.ndarray) -> float:
         """Mean squared measurement noise of this model on a system input."""
         l_full = self.system_operator_full(PLUS_MINUS_OBSERVABLE)
         # complex, the dtype noise_of_model reads back from an Observable, so
         # both give the same bits
-        z = _pointer_diagonal(self.composite, self.pointer, values).astype(complex)
+        z = _pointer_diagonal(self.composite, self.pointer).astype(complex)
         rho_full = self.initial_density_full(system_rho)
         return _model_noise(self.unitary.matrix, l_full, z, rho_full)
 
@@ -229,13 +233,11 @@ def _register_mask(num_wires: int, bits: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
-def _assemble(kind: str, m: int, wires: list[GradedSpace], system_wire: int,
-              register_count: int, init: list[np.ndarray | None],
+def _assemble(kind: str, m: int, wires: list[GradedSpace], init: list[np.ndarray | None],
               v_kron: np.ndarray, pointer: dict[str, np.ndarray]) -> MeasurementModel:
     comp = CompositeSpace.of(wires)
-    unitary = ConservingUnitary(comp.space, comp.matrix(v_kron), number_operator(comp.space))
-    return MeasurementModel(kind=kind, m=m, composite=comp, system_wire=system_wire,
-                            register_count=register_count, init=tuple(init),
+    unitary = ConservingUnitary(comp.space, comp.matrix(v_kron))
+    return MeasurementModel(kind=kind, m=m, composite=comp, init=tuple(init),
                             unitary=unitary, pointer=pointer)
 
 
@@ -261,7 +263,7 @@ def build_ud_unitary(m: int) -> MeasurementModel:
     init = [uniform_state(m).amplitudes, None,
             _register_mask(1, (0,)), _register_mask(1, (0,)),
             _register_mask(1, (1,))]
-    return _assemble("ud", m, wires, 1, 3, init, v_kron, pointer)
+    return _assemble("ud", m, wires, init, v_kron, pointer)
 
 
 def build_mle_unitary(m: int) -> MeasurementModel:
@@ -282,7 +284,7 @@ def build_mle_unitary(m: int) -> MeasurementModel:
     pointer = {"plus": plus, "minus": np.ones(4) - plus}
     init = [uniform_state(m).amplitudes, None,
             _register_mask(1, (0,)), _register_mask(1, (1,))]
-    return _assemble("mle", m, wires, 1, 2, init, v_kron, pointer)
+    return _assemble("mle", m, wires, init, v_kron, pointer)
 
 
 def build_repeatable_variant(m: int) -> MeasurementModel:
@@ -323,15 +325,14 @@ def build_repeatable_variant(m: int) -> MeasurementModel:
     init = [uniform_state(m).amplitudes, None, plus_vec.astype(complex),
             _register_mask(1, (0,)), _register_mask(1, (0,)),
             _register_mask(1, (1,))]
-    return _assemble("repeatable", m, wires, 1, 3, init, v_kron, pointer)
+    return _assemble("repeatable", m, wires, init, v_kron, pointer)
 
 
 # ---------------------------------------------------------------------------
 # simulation and verification
 # ---------------------------------------------------------------------------
 
-def simulate_measurement(model: MeasurementModel, system_state: np.ndarray,
-                         prob_cutoff: float = 1e-14
+def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
                          ) -> dict[str, tuple[float, np.ndarray | None]]:
     """Run the premeasurement and read the pointer.
 
@@ -349,11 +350,11 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray,
     sys_i = model.system_wire
     ds = dims[sys_i]
     out: dict[str, tuple[float, np.ndarray | None]] = {}
-    for label in model.pointer:
-        mask = _pointer_diagonal(comp, model.pointer, {label: 1.0})
-        selected = evolved * np.outer(mask, mask)
+    for label, mask in model.pointer.items():
+        keep = mask[comp.kron_index % mask.size]
+        selected = evolved * np.outer(keep, keep)
         prob = float(np.real(np.trace(selected)))
-        if prob <= prob_cutoff:
+        if prob <= PROB_CUTOFF:
             out[label] = (max(prob, 0.0), None)
             continue
         kron_rho = selected[np.ix_(inv, inv)].reshape(*dims, *dims)
@@ -371,14 +372,13 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray,
 
 def verify_conservation(unitary: ConservingUnitary) -> float:
     """Spectral norm of [V, N_tot]; zero for a charge-conserving unitary."""
-    return _commutator_norm(unitary.matrix, np.diagonal(unitary.charge_observable.matrix))
+    return _commutator_norm(unitary.matrix, unitary.space.charge_labels())
 
 
-def verify_yanase(model: MeasurementModel,
-                  values: dict[str, float] | None = None) -> float:
+def verify_yanase(model: MeasurementModel) -> float:
     """Spectral norm of [Z_A, N_A] on the apparatus (pointer vs apparatus charge)."""
     app = model.apparatus()
-    z = np.diag(_pointer_diagonal(app, model.pointer, values))
+    z = np.diag(_pointer_diagonal(app, model.pointer))
     return _commutator_norm(z, app.space.charge_labels())
 
 

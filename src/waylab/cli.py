@@ -28,7 +28,7 @@ from .discrimination import Criterion
 from .graded import EPS_NUM, NumericalError, Observable, number_operator
 from .models import (ModelReport, coherent_model, coherent_ud_success_smooth,
                      opt_phase_model, ozawa_bound, ozawa_reference_curve,
-                     uniform_model)
+                     plus_minus_eigenstates, uniform_model)
 from .serialize import fmt, matrix_to_json, round_sig
 
 EXIT_OK = 0
@@ -155,8 +155,7 @@ def cmd_discriminate(args) -> int:
         raise InputError(f"unknown resource {args.resource!r}")
     payload = _report_payload(report)
     if args.effects:
-        payload["result"] = serialize.discrimination_result_to_json(
-            report.result, include_effects=True)
+        payload["result"] = serialize.discrimination_result_to_json(report.result)
     _emit(payload, args)
     return EXIT_OK
 
@@ -215,9 +214,10 @@ def cmd_curves(args) -> int:
     return EXIT_OK
 
 
+_E_PLUS, _E_MINUS = plus_minus_eigenstates()
 _QUBIT_PRESETS = {
-    "e+": np.array([1.0, 1.0]) / math.sqrt(2.0),
-    "e-": np.array([1.0, -1.0]) / math.sqrt(2.0),
+    "e+": _E_PLUS,
+    "e-": _E_MINUS,
     "0": np.array([1.0, 0.0]),
     "1": np.array([0.0, 1.0]),
 }

@@ -24,6 +24,7 @@ import numpy as np
 from .graded import EPS_NUM, BlockState, GradedSpace, NumericalError
 
 SUPPORT_RANK_TOL = 1e-9
+WEIGHT_CUTOFF = 1e-15  # sectors at or below this ensemble weight are dropped
 
 __all__ = [
     "Criterion",
@@ -131,12 +132,6 @@ class DiscriminationResult:
             if abs(self.success_prob + self.fail_prob - 1.0) > 1e-9:
                 raise NumericalError("UD success and failure do not account for 1")
 
-    def sector_success(self, charge: int) -> float:
-        for n, _, s, _ in self.per_sector:
-            if n == charge:
-                return s
-        raise ValueError(f"no sector with charge {charge}")
-
     @property
     def global_effects(self) -> dict[str, np.ndarray]:
         """The global POVM: the direct sum of the sector effects, as dense matrices.
@@ -163,8 +158,7 @@ class DiscriminationResult:
         return out
 
 
-def raynal_reduce(ensemble: Ensemble,
-                  weight_cutoff: float = 1e-15) -> list[SectorReduction]:
+def raynal_reduce(ensemble: Ensemble) -> list[SectorReduction]:
     """Split a block-diagonal ensemble into independent per-sector problems.
 
     The sector weight is sum_k p_k tr(P_n rho_k P_n); sectors with (numerically)
@@ -175,13 +169,13 @@ def raynal_reduce(ensemble: Ensemble,
     for n in space.charges:
         traces = [st.sector_weight(n) for _, st in ensemble.items]
         weight = math.fsum(p * t for (p, _), t in zip(ensemble.items, traces))
-        if weight <= weight_cutoff:
+        if weight <= WEIGHT_CUTOFF:
             continue
         priors = []
         states = []
         for (p, st), t in zip(ensemble.items, traces):
             priors.append(p * t / weight)
-            if t > weight_cutoff:
+            if t > WEIGHT_CUTOFF:
                 states.append(st.block(n) / t)
             else:
                 states.append(np.zeros_like(st.block(n)))
@@ -189,19 +183,15 @@ def raynal_reduce(ensemble: Ensemble,
     return out
 
 
-def support_projector(rho: np.ndarray, rank_tol: float = SUPPORT_RANK_TOL) -> np.ndarray:
+def support_projector(rho: np.ndarray) -> np.ndarray:
     """Projector onto the support (range) of a PSD matrix."""
-    vals, vecs = np.linalg.eigh(rho)
-    keep = vecs[:, vals > rank_tol]
+    return _support_of(*np.linalg.eigh(rho))
+
+
+def _support_of(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Projector onto the eigenvectors of an ``eigh`` result above the rank tolerance."""
+    keep = vecs[:, vals > SUPPORT_RANK_TOL]
     return keep @ keep.conj().T
-
-
-def _kernel_vector(rho: np.ndarray, rank_tol: float = SUPPORT_RANK_TOL) -> np.ndarray | None:
-    """Unit vector spanning the kernel of a 2x2 state with 1-dim kernel."""
-    vals, vecs = np.linalg.eigh(rho)
-    if vals[0] <= rank_tol < vals[1]:
-        return vecs[:, 0]
-    return None
 
 
 def ud_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
@@ -231,7 +221,9 @@ def ud_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
         zero = np.zeros_like(rp)
         return SectorPovm(charge, zero, zero, eye.astype(complex)), 0.0
 
-    sp, sm = support_projector(rp), support_projector(rm)
+    # one eigh per state serves both its support and, in 2x2, its kernel
+    (vals_p, vecs_p), (vals_m, vecs_m) = np.linalg.eigh(rp), np.linalg.eigh(rm)
+    sp, sm = _support_of(vals_p, vecs_p), _support_of(vals_m, vecs_m)
     if np.max(np.abs(sp @ sm)) <= EPS_NUM:
         fail = eye - sp - sm
         fail[np.abs(fail) < 1e-15] = 0.0
@@ -244,11 +236,11 @@ def ud_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
         raise ValueError(
             "unsupported UD structure: non-orthogonal states of dimension "
             f"{dim} (only 2x2 states with one-dimensional kernels are solved)")
-    chi_plus = _kernel_vector(rm)
-    chi_minus = _kernel_vector(rp)
-    if chi_plus is None or chi_minus is None:
+    if not (vals_m[0] <= SUPPORT_RANK_TOL < vals_m[1]
+            and vals_p[0] <= SUPPORT_RANK_TOL < vals_p[1]):
         raise ValueError(
             "unsupported UD structure: a 2x2 state without a one-dimensional kernel")
+    chi_plus, chi_minus = vecs_m[:, 0], vecs_p[:, 0]  # span ker(rho_-), ker(rho_+)
 
     k_plus = np.outer(chi_plus, chi_plus.conj())
     k_minus = np.outer(chi_minus, chi_minus.conj())

@@ -167,13 +167,12 @@ class PureState:
 
     space: GradedSpace
     amplitudes: np.ndarray
-    tolerance: float = EPS_NUM
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.space.total_dim,):
             raise ValueError("amplitude vector does not match space dimension")
-        if abs(np.linalg.norm(amps) - 1.0) > self.tolerance:
+        if abs(np.linalg.norm(amps) - 1.0) > EPS_NUM:
             raise ValueError("state is not normalized within tolerance")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -217,15 +216,15 @@ class Observable:
         object.__setattr__(self, "matrix", _freeze(m))
 
 
-def _check_density(rho: np.ndarray, dim: int, tol: float = EPS_NUM) -> np.ndarray:
+def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError("density matrix does not match space dimension")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > EPS_NUM:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > EPS_NUM:
         raise ValueError("density matrix does not have unit trace")
-    if np.linalg.eigvalsh(rho)[0] < -tol:
+    if np.linalg.eigvalsh(rho)[0] < -EPS_NUM:
         raise ValueError("density matrix is not positive semidefinite")
     return rho
 

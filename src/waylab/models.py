@@ -103,7 +103,10 @@ def coherent_ud_success_smooth(nbar: float) -> float:
     return 1.0 - math.exp(-nbar + (nbar + 1) * math.log(nbar) - math.lgamma(nbar + 2))
 
 
-def coherent_mle_success(nbar: float, rel_tol: float = 1e-16) -> float:
+MLE_TAIL_REL_TOL = 1e-16  # coherent_mle_success drops terms below this share of the mode's
+
+
+def coherent_mle_success(nbar: float) -> float:
     """Optimal minimum-error success with a mean-nbar coherent resource.
 
     Evaluates exp(-nbar)/4 * [1 + sum_{n>=1} nbar^(n-1)/(n-1)! (1+sqrt(nbar/n))^2].
@@ -111,7 +114,7 @@ def coherent_mle_success(nbar: float, rel_tol: float = 1e-16) -> float:
     weight there, and the sum is divided by their total.  No term starts from
     exp(-nbar), which is subnormal above nbar ~708 and zero above ~745, and no
     exponent of size nbar cancels, so the result is accurate at any nbar.  Each
-    tail stops at its first term below ``rel_tol`` times the term at the mode.
+    tail stops at its first term below ``MLE_TAIL_REL_TOL`` times the term at the mode.
     """
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
@@ -121,7 +124,7 @@ def coherent_mle_success(nbar: float, rel_tol: float = 1e-16) -> float:
         return (1.0 + math.sqrt(nbar / (k + 1))) ** 2
 
     terms, weights = [gain(mode)], [1.0]
-    cut = rel_tol * terms[0]
+    cut = MLE_TAIL_REL_TOL * terms[0]
     w, k = 1.0, mode
     while True:
         w *= nbar / (k + 1)

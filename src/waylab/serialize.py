@@ -83,10 +83,10 @@ def distribution_from_json(obj) -> dict[int, float]:
     return {int(n): float(p) for n, p in obj.items()}
 
 
-def discrimination_result_to_json(result, include_effects: bool = False) -> dict:
-    """Per-sector breakdown of a discrimination run; optionally the global
-    POVM effects in the matrix schema."""
-    out = {
+def discrimination_result_to_json(result) -> dict:
+    """Per-sector breakdown of a discrimination run and its global POVM
+    effects in the matrix schema."""
+    return {
         "criterion": result.criterion.value,
         "success_prob": round_sig(result.success_prob),
         "fail_prob": (round_sig(result.fail_prob)
@@ -96,12 +96,10 @@ def discrimination_result_to_json(result, include_effects: bool = False) -> dict
              "success": round_sig(success)}
             for charge, weight, success, _ in result.per_sector
         ],
+        "space": space_to_json(result.space),
+        "effects": {label: matrix_to_json(eff)
+                    for label, eff in result.global_effects.items()},
     }
-    if include_effects:
-        out["space"] = space_to_json(result.space)
-        out["effects"] = {label: matrix_to_json(eff)
-                          for label, eff in result.global_effects.items()}
-    return out
 
 
 def dumps(obj) -> str:

@@ -11,8 +11,8 @@ from waylab.circuits import (CompositeSpace, ConservingUnitary,
                              simulate_measurement, verify_conservation,
                              verify_yanase)
 from waylab.discrimination import Criterion, discriminate
-from waylab.graded import (GradedSpace, Observable, g_twirl, number_operator,
-                           tensor, uniform_state)
+from waylab.graded import (GradedSpace, g_twirl, number_operator, tensor,
+                           uniform_state)
 from waylab.models import twirled_pair_ensemble
 
 E_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -57,15 +57,14 @@ class TestStructuralChecks:
         n = number_operator(tm.space).matrix
         assert np.linalg.norm(v @ n - n @ v, 2) > 0.5
         with pytest.raises(ValueError, match="conserve"):
-            ConservingUnitary(tm.space, v, number_operator(tm.space))
+            ConservingUnitary(tm.space, v)
 
-    def test_nondiagonal_charge_operator_rejected(self):
-        # the identity commutes with anything, so only the diagonal check fires
-        space = tensor(GradedSpace.qubit(), GradedSpace.qubit()).space
-        hopping = np.zeros((4, 4))
-        hopping[1, 2] = hopping[2, 1] = 1.0
-        with pytest.raises(ValueError, match="not diagonal"):
-            ConservingUnitary(space, np.eye(4), Observable(space, hopping))
+    @pytest.mark.parametrize("builder, wires", [(build_ud_unitary, (1, 3)),
+                                                (build_mle_unitary, (1, 2)),
+                                                (build_repeatable_variant, (1, 3))])
+    def test_derived_system_wire_and_register_count(self, builder, wires):
+        model = builder(2)
+        assert (model.system_wire, model.register_count) == wires
 
 
 class TestDenseReference:

@@ -9,6 +9,7 @@ other command is closed-form linear algebra, so ``import waylab``, ``compare``,
 long since imported whatever the other tests needed.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -120,3 +121,35 @@ def test_convert_loads_lp_solver_on_first_use():
         assert run["exit"] == run["recorded_exit"], run
         assert run["digest_matches"], run
         assert "scipy.optimize" in run["scipy"], run
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, leaving out ``__future__`` and ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+def test_unused_imports_are_detected():
+    assert unused_imports("import os\nimport numpy as np\nnp.zeros(1)\n") == ["os (line 1)"]
+    assert unused_imports("from __future__ import annotations\n"
+                          "from .a import b\n__all__ = ['b']\n") == []
+
+
+def test_src_modules_have_no_unused_imports():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "waylab").glob("*.py"))
+             if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
