@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graded import (EPS_NUM, CompositeSpace, GradedSpace, Observable, _freeze,
-                     number_operator, uniform_state)
-from .models import _model_noise, ozawa_bound, plus_minus_eigenstates
+                     uniform_state)
+from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
 POINTER_VALUES = {"plus": 1.0, "minus": -1.0, "fail": 0.0}
@@ -137,10 +137,6 @@ class MeasurementModel:
         """The composite of every wire but the system, in wire order."""
         return CompositeSpace.of([self.composite.wires[i] for i in self.apparatus_wires()])
 
-    def pointer_observable(self) -> Observable:
-        diag = _pointer_diagonal(self.composite, self.pointer)
-        return Observable(self.composite.space, np.diag(diag))
-
     def system_operator_full(self, op: np.ndarray) -> np.ndarray:
         """Promote a system-wire operator to the composite graded basis."""
         return self.composite.promote(*(
@@ -157,28 +153,20 @@ class MeasurementModel:
             rho if i == self.system_wire else np.outer(vec, vec.conj())
             for i, vec in enumerate(self.init)))
 
-    def apparatus_state_and_charge(self) -> tuple[np.ndarray, Observable, GradedSpace]:
-        """Initial apparatus density, its number operator and its graded space."""
-        app = self.apparatus()
-        rho = app.pure(*(self.init[i] for i in self.apparatus_wires())).density()
-        return rho, number_operator(app.space), app.space
-
     def noise(self, system_rho: np.ndarray) -> float:
         """Mean squared measurement noise of this model on a system input."""
-        l_full = self.system_operator_full(PLUS_MINUS_OBSERVABLE)
-        # complex, the dtype noise_of_model reads back from an Observable, so
-        # both give the same bits
-        z = _pointer_diagonal(self.composite, self.pointer).astype(complex)
-        rho_full = self.initial_density_full(system_rho)
-        return _model_noise(self.unitary.matrix, l_full, z, rho_full)
+        return noise_of_model(self.unitary,
+                              self.system_operator_full(PLUS_MINUS_OBSERVABLE),
+                              _pointer_diagonal(self.composite, self.pointer),
+                              self.initial_density_full(system_rho))
 
     def noise_bound(self, system_rho: np.ndarray) -> float:
         """Commutator lower bound evaluated on rho_system (x) apparatus init."""
-        app_rho, app_n, _ = self.apparatus_state_and_charge()
-        qubit = GradedSpace.qubit()
-        obs = Observable(qubit, PLUS_MINUS_OBSERVABLE)
+        app = self.apparatus()
+        app_rho = app.pure(*(self.init[i] for i in self.apparatus_wires())).density()
         joint = np.kron(np.asarray(system_rho, dtype=complex), app_rho)
-        return ozawa_bound(obs, number_operator(qubit), app_n, joint)
+        return ozawa_bound(Observable(self.system_space, PLUS_MINUS_OBSERVABLE),
+                           app.space, joint)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +364,15 @@ def verify_conservation(unitary: ConservingUnitary) -> float:
 
 
 def verify_yanase(model: MeasurementModel) -> float:
-    """Spectral norm of [Z_A, N_A] on the apparatus (pointer vs apparatus charge)."""
+    """Spectral norm of [Z_A, N_A] on the apparatus (pointer vs apparatus charge).
+
+    Both are diagonal in the apparatus charge basis, so the commutator is the
+    diagonal z n - n z, and its spectral norm is its largest entry.
+    """
     app = model.apparatus()
-    z = np.diag(_pointer_diagonal(app, model.pointer))
-    return _commutator_norm(z, app.space.charge_labels())
+    z = _pointer_diagonal(app, model.pointer)
+    n = app.space.charge_labels()
+    return float(np.max(np.abs(z * n - n * z)))
 
 
 def model_manifest(model: MeasurementModel) -> dict:

@@ -25,7 +25,7 @@ from .convert import (ChargeDistribution, charge_distribution,
                       deterministic_convertible, frameness_entropy,
                       variance_measure)
 from .discrimination import Criterion
-from .graded import EPS_NUM, NumericalError, Observable, number_operator
+from .graded import EPS_NUM, NumericalError, Observable
 from .models import (ModelReport, coherent_model, coherent_ud_success_smooth,
                      opt_phase_model, ozawa_bound, ozawa_reference_curve,
                      plus_minus_eigenstates, uniform_model)
@@ -141,6 +141,8 @@ def _report_payload(report: ModelReport) -> dict:
 
 def cmd_discriminate(args) -> int:
     criterion = Criterion(args.criterion)
+    if not math.isfinite(args.param):
+        raise InputError(f"param must be finite, got {args.param}")
     if args.resource == "uniform":
         report = uniform_model(_as_int(args.param, "param"), criterion)
     elif args.resource == "coherent":
@@ -173,8 +175,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise InputError(f"bad grid {spec!r}") from exc
     if not grid:
         raise InputError("empty grid")
-    if any(g <= 0 for g in grid):
-        raise InputError("grid values must be positive")
+    if not all(0 < g < math.inf for g in grid):  # also false for nan
+        raise InputError(f"grid values must be positive and finite, got {spec!r}")
     return grid
 
 
@@ -234,7 +236,7 @@ def _qubit_state(spec) -> np.ndarray:
         amps = np.array([complex(re, im) for re, im in spec["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid qubit state: {exc}") from exc
-    if amps.shape != (2,) or abs(np.linalg.norm(amps) - 1.0) > 1e-6:
+    if amps.shape != (2,) or not abs(np.linalg.norm(amps) - 1.0) <= 1e-6:  # nan too
         raise InputError("qubit state must be a normalized two-component vector")
     return amps / np.linalg.norm(amps)
 
@@ -324,11 +326,15 @@ def cmd_ozawa(args) -> int:
         raise InputError(f"invalid scenario file: {exc}") from exc
     try:
         obs = Observable(sys_space, l_mat)
-        joint = np.kron(np.outer(sys_amp, sys_amp.conj()),
-                        np.outer(app_amp, app_amp.conj()))
-        joint /= np.trace(joint).real
-        bound = ozawa_bound(obs, number_operator(sys_space),
-                            number_operator(app_space), joint)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            joint = np.kron(np.outer(sys_amp, sys_amp.conj()),
+                            np.outer(app_amp, app_amp.conj()))
+        norm = np.trace(joint).real
+        if not 0.0 < norm < math.inf:
+            raise InputError(f"the product state's squared norm is {norm:g}; "
+                             "it must be finite and nonzero")
+        joint /= norm
+        bound = ozawa_bound(obs, app_space, joint)
     except ValueError as exc:
         if "undefined" in str(exc):
             _emit({"bound": "undefined", "noise": None, "violation": None}, args)

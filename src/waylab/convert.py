@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graded import EPS_NUM, NumericalError, PureState, number_operator, variance
+from .graded import EPS_NUM, NumericalError, PureState
 
 FEASIBILITY_TOL = 1e-8
 
@@ -60,6 +60,8 @@ class ChargeDistribution:
         clean: dict[int, float] = {}
         for n, p in self.probs.items():
             p = float(p)
+            if not math.isfinite(p):
+                raise ValueError(f"non-finite probability at charge {n}")
             if p < -EPS_NUM:
                 raise ValueError(f"negative probability at charge {n}")
             if p > 0.0:
@@ -162,7 +164,10 @@ def charge_distribution(state: PureState) -> ChargeDistribution:
 
 def variance_measure(state: PureState) -> float:
     """Four times the variance of the number operator; an asymmetry monotone."""
-    return 4.0 * variance(number_operator(state.space), state)
+    n, amps = state.space.charge_labels(), state.amplitudes
+    mean = float(np.real(np.vdot(amps, n * amps)))
+    second = float(np.real(np.vdot(amps, n * n * amps)))
+    return 4.0 * max(second - mean ** 2, 0.0)
 
 
 def frameness_entropy(state: PureState) -> float:

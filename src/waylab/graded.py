@@ -65,16 +65,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _diagonal_of(op, dim: int, what: str) -> np.ndarray:
-    """Diagonal of a dim x dim matrix or Observable; raises unless it is diagonal."""
-    m = np.asarray(getattr(op, "matrix", op))
-    if m.shape != (dim, dim):
-        raise ValueError(f"{what} does not match the space dimension")
-    if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)):
-        raise ValueError(f"{what} is not diagonal in the graded basis")
-    return np.diagonal(m)
-
-
 @dataclass(frozen=True)
 class GradedSpace:
     """A finite direct sum of integer charge sectors.

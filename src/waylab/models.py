@@ -22,7 +22,7 @@ from .discrimination import (Criterion, DiscriminationResult, Ensemble,
                              perfect_discrimination_possible)
 from .discrimination import discriminate as _discriminate
 from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
-                     NumericalError, Observable, PureState, _diagonal_of,
+                     NumericalError, Observable, PureState,
                      coherent_state, opt_phase_state, tensor, uniform_state)
 
 __all__ = [
@@ -351,22 +351,23 @@ def opt_phase_model(m: int) -> ModelReport:
 # noise bound
 # ---------------------------------------------------------------------------
 
-def ozawa_bound(observable: Observable, conserved_system: Observable,
-                conserved_apparatus: Observable, joint_state: np.ndarray) -> float:
+def ozawa_bound(observable: Observable, apparatus: GradedSpace,
+                joint_state: np.ndarray) -> float:
     """Commutator lower bound on the mean squared measurement noise.
 
     Evaluates |<[L, N_S]>|^2 / (4 sigma(N_S)^2 + 4 sigma(N_A)^2) on the joint
     initial state, given in the plain Kronecker layout system (x) apparatus.
-    Both conserved quantities must be diagonal; they act as scalings.
+    The conserved quantities are the charges of the two spaces, N_S of
+    ``observable.space`` and N_A of ``apparatus``; they act as scalings.
     A vanishing denominator leaves the bound undefined and raises.
     """
     ds = observable.space.total_dim
-    da = conserved_apparatus.space.total_dim
+    da = apparatus.total_dim
     joint = np.asarray(joint_state, dtype=complex)
     if joint.shape != (ds * da, ds * da):
         raise ValueError("joint state does not match system x apparatus dimensions")
-    ns = np.kron(_diagonal_of(conserved_system, ds, "system charge"), np.ones(da))
-    na = np.kron(np.ones(ds), _diagonal_of(conserved_apparatus, da, "apparatus charge"))
+    ns = np.kron(observable.space.charge_labels(), np.ones(da))
+    na = np.kron(np.ones(ds), apparatus.charge_labels())
     l_full = np.kron(observable.matrix, np.eye(da))
 
     comm = l_full * ns - ns[:, None] * l_full
@@ -383,27 +384,23 @@ def ozawa_bound(observable: Observable, conserved_system: Observable,
     return float(num / denom)
 
 
-def noise_of_model(unitary, observable_full, pointer_full,
+def noise_of_model(unitary, observable_full, pointer: np.ndarray,
                    input_state: np.ndarray) -> float:
-    """Mean squared noise <(V' Z V - L)^2> of a premeasurement model.
+    """Mean squared noise <(V' Z V - L)^2> of a premeasurement model, as (V'Z)V.
 
-    All operators must live on the composite space (same basis as the
-    unitary); the diagonal ``pointer_full`` carries the outcome values (the
-    measured eigenvalue on each success outcome, zero on failure).
-    Accepts wrapped (ConservingUnitary / Observable) or plain matrices.
+    All operators live on the composite space (same basis as the unitary).
+    The pointer Z is diagonal there and is given as its diagonal ``pointer``,
+    the outcome values (the measured eigenvalue on each success outcome, zero
+    on failure).  Accepts wrapped (ConservingUnitary / Observable) or plain
+    matrices.
     """
     v = np.asarray(getattr(unitary, "matrix", unitary), dtype=complex)
     l_full = np.asarray(getattr(observable_full, "matrix", observable_full),
                         dtype=complex)
-    if not v.shape == l_full.shape == np.asarray(input_state).shape:
+    rho = np.asarray(input_state, dtype=complex)
+    z = np.asarray(pointer)
+    if not v.shape == l_full.shape == rho.shape == z.shape * 2:
         raise ValueError("operator dimensions do not match")
-    z = _diagonal_of(pointer_full, v.shape[0], "pointer")
-    return _model_noise(v, l_full, z, np.asarray(input_state, dtype=complex))
-
-
-def _model_noise(v: np.ndarray, l_full: np.ndarray, z: np.ndarray,
-                 rho: np.ndarray) -> float:
-    """<(V' Z V - L)^2> in rho for the pointer diagonal z, as (V'Z)V."""
     noise_op = (v.conj().T * z) @ v - l_full
     val = np.real(np.trace(noise_op @ noise_op @ rho))
     return float(max(val, 0.0))

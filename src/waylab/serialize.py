@@ -80,6 +80,8 @@ def distribution_to_json(probs: dict[int, float]) -> dict:
 
 
 def distribution_from_json(obj) -> dict[int, float]:
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {obj!r}")
     return {int(n): float(p) for n, p in obj.items()}
 
 

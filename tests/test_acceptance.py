@@ -25,13 +25,14 @@ import pytest
 from conftest import random_density, random_hermitian
 from oracles import (convertible_exact, convolution_quotient,
                      simplex_grid_witness, supports_orthogonal)
-from waylab.circuits import (PLUS_MINUS_OBSERVABLE, build_mle_unitary,
-                             build_repeatable_variant, build_ud_unitary,
-                             simulate_measurement, verify_conservation,
-                             verify_yanase)
+from waylab.circuits import (PLUS_MINUS_OBSERVABLE, POINTER_VALUES,
+                             build_mle_unitary, build_repeatable_variant,
+                             build_ud_unitary, simulate_measurement,
+                             verify_conservation, verify_yanase)
 from waylab.convert import ChargeDistribution, deterministic_convertible
 from waylab.discrimination import Criterion, discriminate
-from waylab.graded import GradedSpace, Observable, g_twirl, tensor, uniform_state
+from waylab.graded import (GradedSpace, Observable, g_twirl, number_operator, tensor,
+                           uniform_state)
 from waylab.models import (Verdict, WayScenario, coherent_mle_success,
                            coherent_ud_success, coherent_ud_success_smooth,
                            coherent_model, opt_phase_model, ozawa_bound,
@@ -340,16 +341,19 @@ def test_criterion8_ozawa_inequality():
             model = builder(m)
             v = model.unitary.matrix
             l_full = model.system_operator_full(PLUS_MINUS_OBSERVABLE)
-            z_full = model.pointer_observable().matrix
+            zreg = sum(POINTER_VALUES[label] * mask
+                       for label, mask in model.pointer.items())
+            z_full = np.diag(zreg[model.composite.kron_index % zreg.size])
             noise_op = v.conj().T @ z_full @ v - l_full
             noise_sq = noise_op @ noise_op
-            app_rho, app_n, _ = model.apparatus_state_and_charge()
-            var_a = (np.real(np.trace(app_n.matrix @ app_n.matrix @ app_rho))
-                     - np.real(np.trace(app_n.matrix @ app_rho)) ** 2)
+            app = model.apparatus()
+            app_rho = app.pure(*(model.init[i] for i in model.apparatus_wires())).density()
+            app_n = number_operator(app.space).matrix
+            var_a = (np.real(np.trace(app_n @ app_n @ app_rho))
+                     - np.real(np.trace(app_n @ app_rho)) ** 2)
             # cross-check the precomputed denominator against the public op once
             probe = random_density(rng, 2)
-            direct = ozawa_bound(obs, Observable(qubit, n_s),
-                                 app_n, np.kron(probe, app_rho))
+            direct = ozawa_bound(obs, app.space, np.kron(probe, app_rho))
             for _ in range(100):
                 rho = random_density(rng, 2)
                 num = abs(np.trace(comm @ rho)) ** 2

@@ -59,6 +59,13 @@ class TestStructuralChecks:
         with pytest.raises(ValueError, match="conserve"):
             ConservingUnitary(tm.space, v)
 
+    @pytest.mark.parametrize("builder", ALL_BUILDERS)
+    def test_yanase_norm_is_exactly_zero(self, builder):
+        # the pointer and the apparatus charge are both diagonal in the
+        # apparatus charge basis, so their commutator vanishes identically
+        for m in range(1, 9):
+            assert verify_yanase(builder(m)) == 0.0
+
     @pytest.mark.parametrize("builder, wires", [(build_ud_unitary, (1, 3)),
                                                 (build_mle_unitary, (1, 2)),
                                                 (build_repeatable_variant, (1, 3))])

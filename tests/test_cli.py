@@ -136,6 +136,23 @@ class TestConvert:
         q = write_dist(tmp_path, "q.json", {0: 1.0})
         assert run_cli("convert", p, q).returncode == 2
 
+    @pytest.mark.parametrize("content, error", [
+        ("[0.5, 0.5]", "expected a JSON object"),
+        ("0.5", "expected a JSON object"),
+        ("null", "expected a JSON object"),
+        ('{"0": NaN, "1": 1.0}', "non-finite probability at charge 0"),
+    ], ids=["list", "number", "null", "nan-probability"])
+    def test_unusable_distribution_file_exit_2(self, tmp_path, capsys, content, error):
+        from waylab import cli
+
+        p = tmp_path / "p.json"
+        p.write_text(content)
+        q = write_dist(tmp_path, "q.json", {0: 1.0})
+        assert cli.main(["convert", str(p), q]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: invalid distribution file: {error}")
+
     def test_solver_disagreement_exit_3(self, tmp_path, monkeypatch, capsys):
         # a feasible verdict that the residual's LP contradicts must not print
         from waylab import cli
@@ -204,6 +221,26 @@ class TestDiscriminateCommand:
         assert res.returncode == 3
         assert res.stderr.startswith("error: ")
         assert res.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["discriminate", "--resource", "coherent", "--param", "inf", "--criterion", "ud"],
+    ["discriminate", "--resource", "uniform", "--param", "inf", "--criterion", "ud"],
+    ["discriminate", "--resource", "uniform", "--param=-inf", "--criterion", "mle"],
+    ["discriminate", "--resource", "uniform", "--param", "nan", "--criterion", "ud"],
+    ["discriminate", "--resource", "opt_phase", "--param", "inf", "--criterion", "mle"],
+    ["curves", "--figure", "fig2", "--grid", "1,inf"],
+    ["curves", "--figure", "fig3", "--grid", "inf"],
+    ["curves", "--figure", "fig2", "--grid", "nan"],
+], ids=["coherent-inf", "uniform-inf", "uniform-minus-inf", "uniform-nan",
+        "opt_phase-inf", "fig2-inf", "fig3-inf", "fig2-nan"])
+def test_non_finite_param_or_grid_exit_2(argv, capsys):
+    from waylab import cli
+
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
 
 
 class TestCurves:
@@ -315,6 +352,24 @@ class TestOzawaCommand:
     def test_missing_file_exit_2(self):
         assert run_cli("ozawa", "/nonexistent.json").returncode == 2
 
+    @pytest.mark.parametrize("system_state, apparatus_state", [
+        ([[0, 0], [0, 0]], [[1, 0], [0, 0]]),
+        ([[0.6, 0], [0.8, 0]], [[0, 0], [0, 0]]),
+        ([[1e200, 0], [1e200, 0]], [[1, 0], [0, 0]]),
+    ], ids=["zero-system", "zero-apparatus", "overflow"])
+    def test_bound_only_state_without_finite_norm_exit_2(self, tmp_path, system_state,
+                                                         apparatus_state):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({
+            "system_space": {"charges": [0, 1], "sector_dims": [1, 1]},
+            "apparatus_space": {"charges": [0, 1], "sector_dims": [1, 1]},
+            "L": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+            "system_state": system_state, "apparatus_state": apparatus_state}))
+        res = run_cli("ozawa", str(scen))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: the product state's squared norm")
+
     @pytest.mark.parametrize("state", [
         {"amps": [[1.0, 0.0], [0.0, 0.0]]},
         {"amplitudes": [["a", 0], [0, 0]]},
@@ -326,6 +381,17 @@ class TestOzawaCommand:
         res = run_cli("ozawa", str(scen))
         assert res.returncode == 2
         assert res.stderr.startswith("error: invalid qubit state")
+
+    def test_nan_inline_system_state_exit_2(self, tmp_path, capsys):
+        from waylab import cli
+
+        scen = tmp_path / "scen.json"
+        state = {"amplitudes": [[math.nan, 0], [1, 0]]}
+        scen.write_text(json.dumps({"model": {"kind": "ud", "m": 2}, "system_state": state}))
+        assert cli.main(["ozawa", str(scen)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: qubit state must be a normalized two-component")
 
     @pytest.mark.parametrize("content", ["5", "null", "[1, 2]", '"text"'],
                              ids=["int", "null", "list", "string"])

@@ -14,7 +14,7 @@ from waylab.convert import (FEASIBILITY_TOL, ChargeDistribution, Comparison,
                             frameness_entropy, stochastic_reachable_from_uniform,
                             variance_measure)
 from waylab.graded import (GradedSpace, NumericalError, PureState, coherent_state,
-                           uniform_state)
+                           number_operator, uniform_state, variance)
 
 UNIFORM4 = ChargeDistribution({0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25})
 
@@ -55,6 +55,12 @@ class TestChargeDistribution:
         with pytest.raises(ValueError):
             ChargeDistribution({0: -0.2, 1: 1.2})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        # a NaN fails every comparison, so it would otherwise drop out of the support
+        with pytest.raises(ValueError, match="non-finite probability at charge 0"):
+            ChargeDistribution({0: bad, 1: 1.0})
+
 
 class TestMeasures:
     def test_asbit_variance_measure(self):
@@ -72,6 +78,21 @@ class TestMeasures:
         direct = sum((n - m / 2) ** 2 for n in range(m + 1)) / (m + 1)
         assert direct == pytest.approx(m * (m + 2) / 12)
         assert variance_measure(uniform_state(m)) == pytest.approx(m * (m + 2) / 3)
+
+    def test_variance_measure_equals_dense_number_operator_variance(self, rng):
+        # multi-dimensional and negative-charge sectors, some amplitudes zero
+        spaces = [GradedSpace((-2, 0, 3), (2, 1, 3)), GradedSpace((-5, -1), (1, 4)),
+                  GradedSpace((-1, 0, 1, 2), (3, 2, 2, 1)), GradedSpace.ladder(6)]
+        for space in spaces:
+            for _ in range(50):
+                d = space.total_dim
+                amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+                amps *= rng.random(d) > 0.3
+                if not amps.any():
+                    amps[0] = 1.0
+                state = PureState(space, amps / np.linalg.norm(amps))
+                assert variance_measure(state) == \
+                    4 * variance(number_operator(space), state)
 
     @pytest.mark.parametrize("m", [0, 1, 3, 7])
     def test_uniform_entropy(self, m):

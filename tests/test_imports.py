@@ -153,3 +153,44 @@ def test_src_modules_have_no_unused_imports():
              for path in sorted((ROOT / "src" / "waylab").glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions that no module in ``sources`` references.
+
+    A reference is any name or attribute read, or a ``from`` import, outside
+    the function's own definition.
+    """
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = {getattr(stmt, "name", None)}
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                defined.append((module, stmt.name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                else:
+                    continue
+                referenced |= names - own
+    return sorted(f"{module}.{name}" for module, name in defined if name not in referenced)
+
+
+def test_unreferenced_private_functions_are_detected():
+    sources = {"a": "def _used():\n    pass\n\n"
+                    "def _dead():\n    return _dead()\n\n"
+                    "def _imported():\n    pass\n",
+               "b": "from .a import _imported\n\n"
+                    "def public():\n    return _used()\n"}
+    assert unreferenced_private_functions(sources) == ["a._dead"]
+
+
+def test_src_private_functions_are_all_referenced():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "waylab").glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
