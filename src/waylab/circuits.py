@@ -14,13 +14,14 @@ charge-major composite basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graded import (EPS_NUM, CompositeSpace, GradedSpace, Observable, _freeze,
-                     uniform_state)
+                     _require, uniform_state)
 from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
@@ -80,10 +81,9 @@ class ConservingUnitary:
         d = self.space.total_dim
         if m.shape != (d, d):
             raise ValueError("matrix does not match space dimension")
-        if unitarity_deviation(m) > EPS_NUM:
-            raise ValueError("matrix is not unitary within tolerance")
-        if _commutator_norm(m, self.space.charge_labels()) > EPS_NUM:
-            raise ValueError("matrix does not conserve the total charge")
+        _require(unitarity_deviation(m), EPS_NUM, "matrix is not unitary within tolerance")
+        _require(_commutator_norm(m, self.space.charge_labels()), EPS_NUM,
+                 "matrix does not conserve the total charge")
         object.__setattr__(self, "matrix", _freeze(m))
 
 
@@ -133,8 +133,9 @@ class MeasurementModel:
     def apparatus_wires(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.composite.wires)) if i != self.system_wire)
 
+    @functools.cached_property
     def apparatus(self) -> CompositeSpace:
-        """The composite of every wire but the system, in wire order."""
+        """The composite of every wire but the system, in wire order; built once."""
         return CompositeSpace.of([self.composite.wires[i] for i in self.apparatus_wires()])
 
     def system_operator_full(self, op: np.ndarray) -> np.ndarray:
@@ -162,7 +163,7 @@ class MeasurementModel:
 
     def noise_bound(self, system_rho: np.ndarray) -> float:
         """Commutator lower bound evaluated on rho_system (x) apparatus init."""
-        app = self.apparatus()
+        app = self.apparatus
         app_rho = app.pure(*(self.init[i] for i in self.apparatus_wires())).density()
         joint = np.kron(np.asarray(system_rho, dtype=complex), app_rho)
         return ozawa_bound(Observable(self.system_space, PLUS_MINUS_OBSERVABLE),
@@ -369,7 +370,7 @@ def verify_yanase(model: MeasurementModel) -> float:
     Both are diagonal in the apparatus charge basis, so the commutator is the
     diagonal z n - n z, and its spectral norm is its largest entry.
     """
-    app = model.apparatus()
+    app = model.apparatus
     z = _pointer_diagonal(app, model.pointer)
     n = app.space.charge_labels()
     return float(np.max(np.abs(z * n - n * z)))

@@ -148,7 +148,7 @@ def cmd_discriminate(args) -> int:
     elif args.resource == "coherent":
         if args.param <= 0:
             raise InputError("coherent resource needs param (alpha) > 0")
-        report = coherent_model(args.param, criterion, tail_mass=args.tail_mass)
+        report = coherent_model(args.param, criterion)
     elif args.resource == "opt_phase":
         if criterion is not Criterion.MLE:
             raise InputError("opt_phase resource supports only the mle criterion")
@@ -186,8 +186,7 @@ def cmd_curves(args) -> int:
              "success_numeric", "success_closed_form"]]
     if args.figure == "fig2":
         for mean_n in grid:
-            rep = coherent_model(math.sqrt(mean_n), Criterion.UD,
-                                 tail_mass=args.tail_mass)
+            rep = coherent_model(math.sqrt(mean_n), Criterion.UD)
             rows.append(["coherent", fmt(math.sqrt(mean_n)), fmt(mean_n), "ud",
                          fmt(rep.success_numeric),
                          fmt(coherent_ud_success_smooth(mean_n))])
@@ -202,8 +201,7 @@ def cmd_curves(args) -> int:
                 raise InputError(
                     f"fig3 needs mean_N with 2*mean_N a positive integer, got {mean_n}")
             m = int(m)
-            for rep in (coherent_model(math.sqrt(mean_n), Criterion.MLE,
-                                       tail_mass=args.tail_mass),
+            for rep in (coherent_model(math.sqrt(mean_n), Criterion.MLE),
                         uniform_model(m, Criterion.MLE),
                         opt_phase_model(m)):
                 rows.append([rep.resource, fmt(rep.param), fmt(rep.mean_n), "mle",
@@ -375,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=float, required=True,
                    help="ladder size M, or alpha for the coherent resource")
     p.add_argument("--criterion", choices=("ud", "mle"), required=True)
-    p.add_argument("--tail-mass", type=float, default=1e-12, dest="tail_mass")
     p.add_argument("--effects", action="store_true",
                    help="include the global POVM effect matrices")
     common(p)
@@ -384,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="success-probability curves over a mean-N grid")
     p.add_argument("--figure", choices=("fig2", "fig3"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated mean-N values")
-    p.add_argument("--tail-mass", type=float, default=1e-12, dest="tail_mass")
     common(p, default_format="csv")
     p.set_defaults(func=cmd_curves)
 

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graded import EPS_NUM, NumericalError, PureState
+from .graded import EPS_NUM, NumericalError, PureState, _require
 
 FEASIBILITY_TOL = 1e-8
 
@@ -62,18 +62,14 @@ class ChargeDistribution:
             p = float(p)
             if not math.isfinite(p):
                 raise ValueError(f"non-finite probability at charge {n}")
-            if p < -EPS_NUM:
-                raise ValueError(f"negative probability at charge {n}")
+            _require(-p, EPS_NUM, f"negative probability at charge {n}")
             if p > 0.0:
                 clean[int(n)] = p
         if not clean:
             raise ValueError("distribution has empty support")
-        if abs(math.fsum(clean.values()) - 1.0) > EPS_NUM:
-            raise ValueError("probabilities do not sum to one")
+        _require(abs(math.fsum(clean.values()) - 1.0), EPS_NUM,
+                 "probabilities do not sum to one")
         object.__setattr__(self, "probs", dict(sorted(clean.items())))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(self.probs)
 
     def min_charge(self) -> int:
         return next(iter(self.probs))
@@ -112,10 +108,10 @@ class ConversionCertificate:
         if self.feasible:
             if self.weights is None:
                 raise ValueError("feasible certificate must carry weights")
-            if any(w < -EPS_NUM for w in self.weights.values()):
-                raise ValueError("negative weight in certificate")
-            if abs(math.fsum(self.weights.values()) - 1.0) > EPS_NUM:
-                raise ValueError("weights do not sum to one")
+            _require(-min(self.weights.values(), default=0.0), EPS_NUM,
+                     "negative weight in certificate")
+            _require(abs(math.fsum(self.weights.values()) - 1.0), EPS_NUM,
+                     "weights do not sum to one")
         elif self.weights is not None:
             raise ValueError("infeasible certificate must not carry weights")
 
@@ -136,11 +132,9 @@ class ConversionCertificate:
         residual = _lp_residual(self.p, self.q)
         if self.feasible and residual > FEASIBILITY_TOL:
             fit = _weights_residual(self.p, self.q, self.weights)
-            if fit > FEASIBILITY_TOL:
-                raise NumericalError(
-                    f"convertibility solvers disagree: feasible verdict, but the LP "
-                    f"residual {residual:.3g} and the weights' fit {fit:.3g} exceed "
-                    f"tolerance {FEASIBILITY_TOL:g}")
+            _require(fit, FEASIBILITY_TOL,
+                     f"convertibility solvers disagree: feasible verdict with LP "
+                     f"residual {residual:.3g}; the weights' fit", NumericalError)
             residual = fit
         return residual
 
@@ -176,17 +170,22 @@ def frameness_entropy(state: PureState) -> float:
     return -math.fsum(p * math.log2(p) for p in dist.probs.values() if p > 0.0)
 
 
+def _translates(q: ChargeDistribution, nk: int) -> np.ndarray:
+    """Banded Toeplitz matrix of ``nk`` columns; column k is q's vector moved down k rows."""
+    qv = q.as_vector(q.min_charge(), q.max_charge())
+    a = np.zeros((nk + qv.size - 1, nk))
+    for k in range(nk):
+        a[k:k + qv.size, k] = qv
+    return a
+
+
 def _mixture_matrix(p: ChargeDistribution, q: ChargeDistribution):
-    """Translate matrix A[j, k] = q_{j-k} over the combined support span, and p
-    on the same index window."""
-    kmin = p.min_charge() - q.max_charge()
-    kmax = p.max_charge() - q.min_charge()
-    jlo = min(p.min_charge(), q.min_charge() + kmin)
-    jhi = max(p.max_charge(), q.max_charge() + kmax)
-    a = np.zeros((jhi - jlo + 1, kmax - kmin + 1))
-    for ki, k in enumerate(range(kmin, kmax + 1)):
-        a[:, ki] = q.shifted(k).as_vector(jlo, jhi)
-    return a, p.as_vector(jlo, jhi)
+    """Translate matrix A[j, k] = q_{j-k} over every shift that overlaps p, and p
+    on the same index window, which starts at min p - span q."""
+    span_q = q.max_charge() - q.min_charge()
+    a = _translates(q, p.max_charge() - p.min_charge() + span_q + 1)
+    jlo = p.min_charge() - span_q
+    return a, p.as_vector(jlo, jlo + a.shape[0] - 1)
 
 
 def _lp_residual(p: ChargeDistribution, q: ChargeDistribution) -> float:
@@ -236,12 +235,8 @@ def deterministic_convertible(p: ChargeDistribution,
     span_q = q.max_charge() - q.min_charge()
     if span_q > span_p:
         return ConversionCertificate(False, None, p, q)
-    nk = span_p - span_q + 1
-    qv = q.as_vector(q.min_charge(), q.max_charge())
+    a = _translates(q, span_p - span_q + 1)
     pv = p.as_vector(p.min_charge(), p.max_charge())
-    a = np.zeros((span_p + 1, nk))
-    for k in range(nk):
-        a[k:k + span_q + 1, k] = qv
     # a^T a is positive definite and a^T pv >= 0 is nonzero, so the solution
     # has a positive entry and the clipped weights a positive sum
     w = np.clip(np.linalg.lstsq(a, pv, rcond=None)[0], 0.0, None)

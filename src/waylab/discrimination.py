@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import EPS_NUM, BlockState, GradedSpace, NumericalError
+from .graded import EPS_NUM, BlockState, GradedSpace, NumericalError, _require
 
 SUPPORT_RANK_TOL = 1e-9
 WEIGHT_CUTOFF = 1e-15  # sectors at or below this ensemble weight are dropped
@@ -56,10 +56,8 @@ class Ensemble:
         if not self.items:
             raise ValueError("empty ensemble")
         priors = [p for p, _ in self.items]
-        if any(p < -EPS_NUM for p in priors):
-            raise ValueError("negative prior")
-        if abs(math.fsum(priors) - 1.0) > EPS_NUM:
-            raise ValueError("priors do not sum to one")
+        _require(-min(priors), EPS_NUM, "negative prior")
+        _require(abs(math.fsum(priors) - 1.0), EPS_NUM, "priors do not sum to one")
         first = self.items[0][1].space
         for _, st in self.items[1:]:
             if st.space.charges != first.charges or st.space.dims != first.dims:
@@ -77,20 +75,15 @@ class Ensemble:
 class SectorPovm:
     """Named effects of a two-state measurement within one charge sector."""
 
-    charge: int
     plus: np.ndarray
     minus: np.ndarray
     fail: np.ndarray | None = None
 
     def __post_init__(self):
-        dim = self.plus.shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for eff in self.effects().values():
-            if np.linalg.eigvalsh(eff)[0] < -EPS_NUM:
-                raise ValueError("POVM effect is not PSD")
-            total = total + eff
-        if np.max(np.abs(total - np.eye(dim))) > EPS_NUM:
-            raise ValueError("POVM effects do not sum to the identity")
+        # the solvers build PSD effects; only their completeness is checked
+        total = sum(self.effects().values())
+        _require(np.max(np.abs(total - np.eye(self.plus.shape[0]))), EPS_NUM,
+                 "POVM effects do not sum to the identity")
 
     def effects(self) -> dict[str, np.ndarray]:
         out = {"plus": self.plus, "minus": self.minus}
@@ -125,12 +118,12 @@ class DiscriminationResult:
 
     def __post_init__(self):
         acc = math.fsum(w * s for _, w, s, _ in self.per_sector)
-        if abs(acc - self.success_prob) > EPS_NUM:
-            raise NumericalError("success probability does not match its sector sum")
+        _require(abs(acc - self.success_prob), EPS_NUM,
+                 "success probability does not match its sector sum", NumericalError)
         if self.criterion is Criterion.UD:
             # UD has no misidentification, so success and failure exhaust 1
-            if abs(self.success_prob + self.fail_prob - 1.0) > 1e-9:
-                raise NumericalError("UD success and failure do not account for 1")
+            _require(abs(self.success_prob + self.fail_prob - 1.0), 1e-9,
+                     "UD success and failure do not account for 1", NumericalError)
 
     @property
     def global_effects(self) -> dict[str, np.ndarray]:
@@ -195,8 +188,7 @@ def _support_of(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def ud_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
-                  priors: tuple[float, float],
-                  charge: int = 0) -> tuple[SectorPovm, float]:
+                  priors: tuple[float, float]) -> tuple[SectorPovm, float]:
     """Optimal unambiguous discrimination of two states.
 
     Handled cases: identical states (all mass to the inconclusive outcome),
@@ -219,7 +211,7 @@ def ud_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
 
     if np.max(np.abs(rp - rm)) <= EPS_NUM:
         zero = np.zeros_like(rp)
-        return SectorPovm(charge, zero, zero, eye.astype(complex)), 0.0
+        return SectorPovm(zero, zero, eye.astype(complex)), 0.0
 
     # one eigh per state serves both its support and, in 2x2, its kernel
     (vals_p, vecs_p), (vals_m, vecs_m) = np.linalg.eigh(rp), np.linalg.eigh(rm)
@@ -227,7 +219,7 @@ def ud_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
     if np.max(np.abs(sp @ sm)) <= EPS_NUM:
         fail = eye - sp - sm
         fail[np.abs(fail) < 1e-15] = 0.0
-        povm = SectorPovm(charge, sp, sm, fail)
+        povm = SectorPovm(sp, sm, fail)
         success = p_plus * float(np.real(np.trace(sp @ rp))) \
             + p_minus * float(np.real(np.trace(sm @ rm)))
         return povm, success
@@ -274,13 +266,12 @@ def ud_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
     # clip the tiny negative eigenvalue that roundoff leaves on the det=0 boundary
     vals, vecs = np.linalg.eigh(fail)
     fail = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    povm = SectorPovm(charge, eff_plus, eff_minus, fail)
+    povm = SectorPovm(eff_plus, eff_minus, fail)
     return povm, float(best_val)
 
 
 def mle_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
-                   priors: tuple[float, float],
-                   charge: int = 0) -> tuple[SectorPovm, float]:
+                   priors: tuple[float, float]) -> tuple[SectorPovm, float]:
     """Minimum-error (Helstrom) discrimination of two states.
 
     The optimal POVM is projective: P+ projects onto the nonnegative
@@ -299,7 +290,7 @@ def mle_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray,
     proj_minus = np.eye(rp.shape[0]) - proj_plus
     success = p_plus * float(np.real(np.trace(rp @ proj_plus))) \
         + p_minus * float(np.real(np.trace(rm @ proj_minus)))
-    return SectorPovm(charge, proj_plus, proj_minus), success
+    return SectorPovm(proj_plus, proj_minus), success
 
 
 def discriminate(ensemble: Ensemble, criterion: Criterion) -> DiscriminationResult:
@@ -320,7 +311,7 @@ def discriminate(ensemble: Ensemble, criterion: Criterion) -> DiscriminationResu
     solver = ud_two_states if criterion is Criterion.UD else mle_two_states
     for sec in sectors:
         povm, sec_success = solver(sec.states[0], sec.states[1],
-                                   (sec.priors[0], sec.priors[1]), charge=sec.charge)
+                                   (sec.priors[0], sec.priors[1]))
         success += sec.weight * sec_success
         if criterion is Criterion.UD:
             sec_fail = math.fsum(

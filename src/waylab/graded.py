@@ -14,7 +14,8 @@ Conventions
 * All arrays are immutable after construction (``writeable=False``); every
   operation returns fresh values, so concurrent use is safe.
 * ``EPS_NUM`` is the global numerical tolerance for hermiticity / positivity /
-  normalization checks.
+  normalization checks.  Every tolerance check in the package goes through
+  ``_require``, which fails on NaN and names the value and the tolerance.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS_NUM = 1e-10
+
+
+def _require(err: float, tol: float, what: str, exc: type[Exception] = ValueError) -> None:
+    """Raise ``exc`` naming ``err`` and ``tol`` unless ``err <= tol``, so a NaN fails too."""
+    if not err <= tol:
+        raise exc(f"{what}: {err:.3g} exceeds tolerance {tol:g}")
+
 
 __all__ = [
     "EPS_NUM",
@@ -162,8 +170,8 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.space.total_dim,):
             raise ValueError("amplitude vector does not match space dimension")
-        if abs(np.linalg.norm(amps) - 1.0) > EPS_NUM:
-            raise ValueError("state is not normalized within tolerance")
+        _require(abs(np.linalg.norm(amps) - 1.0), EPS_NUM,
+                 "state is not normalized within tolerance")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def density(self) -> np.ndarray:
@@ -185,9 +193,6 @@ class PureState:
             blocks[n] = np.outer(v, v.conj())
         return BlockState(self.space, blocks)
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class Observable:
@@ -201,8 +206,8 @@ class Observable:
         d = self.space.total_dim
         if m.shape != (d, d):
             raise ValueError("matrix does not match space dimension")
-        if np.max(np.abs(m - m.conj().T)) > EPS_NUM:
-            raise ValueError("matrix is not Hermitian within tolerance")
+        _require(np.max(np.abs(m - m.conj().T)), EPS_NUM,
+                 "matrix is not Hermitian within tolerance")
         object.__setattr__(self, "matrix", _freeze(m))
 
 
@@ -210,12 +215,11 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError("density matrix does not match space dimension")
-    if np.max(np.abs(rho - rho.conj().T)) > EPS_NUM:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > EPS_NUM:
-        raise ValueError("density matrix does not have unit trace")
-    if np.linalg.eigvalsh(rho)[0] < -EPS_NUM:
-        raise ValueError("density matrix is not positive semidefinite")
+    _require(np.max(np.abs(rho - rho.conj().T)), EPS_NUM,
+             "density matrix is not Hermitian within tolerance")
+    _require(abs(np.trace(rho).real - 1.0), EPS_NUM, "density matrix does not have unit trace")
+    _require(-np.linalg.eigvalsh(rho)[0], EPS_NUM,
+             "density matrix is not positive semidefinite")
     return rho
 
 
@@ -241,14 +245,12 @@ class BlockState:
             b = np.asarray(self.blocks.get(n, np.zeros((d, d))), dtype=complex)
             if b.shape != (d, d):
                 raise ValueError(f"block for charge {n} has wrong shape")
-            if np.max(np.abs(b - b.conj().T)) > EPS_NUM:
-                raise ValueError(f"block for charge {n} is not Hermitian")
-            if d and np.linalg.eigvalsh(b)[0] < -EPS_NUM:
-                raise ValueError(f"block for charge {n} is not PSD")
+            _require(np.max(np.abs(b - b.conj().T)), EPS_NUM,
+                     f"block for charge {n} is not Hermitian")
+            _require(-np.linalg.eigvalsh(b)[0], EPS_NUM, f"block for charge {n} is not PSD")
             total += np.trace(b).real
             checked[n] = _freeze(b)
-        if abs(total - 1.0) > EPS_NUM:
-            raise ValueError("block traces do not sum to one")
+        _require(abs(total - 1.0), EPS_NUM, "block traces do not sum to one")
         object.__setattr__(self, "blocks", checked)
 
     def block(self, n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from .discrimination import (Criterion, DiscriminationResult, Ensemble,
                              perfect_discrimination_possible)
 from .discrimination import discriminate as _discriminate
 from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
-                     NumericalError, Observable, PureState,
+                     NumericalError, Observable, PureState, _require,
                      coherent_state, opt_phase_state, tensor, uniform_state)
 
 __all__ = [
@@ -216,10 +216,8 @@ class WayScenario:
     def __post_init__(self):
         if len(self.prior) != self.system.total_dim:
             raise ValueError("prior length must equal the system dimension")
-        if any(p < -EPS_NUM for p in self.prior):
-            raise ValueError("negative prior")
-        if abs(math.fsum(self.prior) - 1.0) > EPS_NUM:
-            raise ValueError("prior does not sum to one")
+        _require(-min(self.prior), EPS_NUM, "negative prior")
+        _require(abs(math.fsum(self.prior) - 1.0), EPS_NUM, "prior does not sum to one")
         _require_nondegenerate(self.observable.matrix)
 
 
@@ -291,10 +289,10 @@ class ModelReport:
 
     def __post_init__(self):
         if self.success_closed_form is not None:
-            if abs(self.success_numeric - self.success_closed_form) > 1e-8:
-                raise NumericalError(
-                    "closed form and numeric success disagree: "
-                    f"{self.success_numeric!r} vs {self.success_closed_form!r}")
+            _require(abs(self.success_numeric - self.success_closed_form), 1e-8,
+                     "closed form and numeric success disagree "
+                     f"({self.success_numeric!r} vs {self.success_closed_form!r})",
+                     NumericalError)
 
 
 def _report(criterion: Criterion, resource_name: str, param: float, mean_n: float,
@@ -325,8 +323,7 @@ def uniform_model(m: int, criterion: Criterion) -> ModelReport:
     return _report(criterion, "uniform", float(m), m / 2.0, uniform_state(m), closed)
 
 
-def coherent_model(alpha: float, criterion: Criterion,
-                   tail_mass: float = 1e-12) -> ModelReport:
+def coherent_model(alpha: float, criterion: Criterion) -> ModelReport:
     """Readout with a truncated coherent resource of amplitude alpha (nbar = alpha^2)."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
@@ -335,7 +332,7 @@ def coherent_model(alpha: float, criterion: Criterion,
         else coherent_mle_success(nbar)
     asym = stirling_ud_asymptote(nbar) if criterion is Criterion.UD else None
     return _report(criterion, "coherent", alpha, nbar,
-                   coherent_state(alpha, tail_mass), closed, asym)
+                   coherent_state(alpha), closed, asym)
 
 
 def opt_phase_model(m: int) -> ModelReport:
@@ -379,7 +376,7 @@ def ozawa_bound(observable: Observable, apparatus: GradedSpace,
         return max(second - mean ** 2, 0.0)
 
     denom = 4.0 * var(ns) + 4.0 * var(na)
-    if denom <= EPS_NUM:
+    if not denom > EPS_NUM:  # NaN too
         raise ValueError("bound undefined: conserved-quantity variances vanish")
     return float(num / denom)
 

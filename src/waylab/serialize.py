@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .graded import BlockState, GradedSpace, PureState
+from .graded import BlockState, GradedSpace, PureState, _require
 
 SIG_DIGITS = 12
 
@@ -58,8 +58,7 @@ def state_from_json(obj) -> PureState:
     amps = np.array([complex(re, im) for re, im in obj["amplitudes"]], dtype=complex)
     # normalize away the 12-digit serialization rounding, nothing more
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError("serialized state is not normalized")
+    _require(abs(norm - 1.0), 1e-6, "serialized state is not normalized")
     return PureState(space, amps / norm)
 
 

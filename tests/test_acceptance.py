@@ -98,8 +98,7 @@ class TestCriterion2:
     @staticmethod
     def ud_numeric():
         t0 = time.time()
-        values = {nbar: coherent_model(math.sqrt(nbar), Criterion.UD,
-                                       tail_mass=1e-12).success_numeric
+        values = {nbar: coherent_model(math.sqrt(nbar), Criterion.UD).success_numeric
                   for nbar in NBAR_GRID}
         values["elapsed"] = time.time() - t0
         return values
@@ -135,7 +134,7 @@ class TestCriterion2:
 
 def test_criterion3_stirling_asymptotic():
     t0 = time.time()
-    rep = coherent_model(10.0, Criterion.UD, tail_mass=1e-12)
+    rep = coherent_model(10.0, Criterion.UD)
     stirling = 1.0 - 1.0 / math.sqrt(2.0 * math.pi * 100.0)
     rel = abs(rep.success_numeric - stirling) / (1.0 - rep.success_numeric)
     elapsed = time.time() - t0
@@ -153,7 +152,7 @@ class TestCriterion4:
     def test_sector_sum_matches_series(self):
         worst = 0.0
         for nbar in NBAR_GRID:
-            rep = coherent_model(math.sqrt(nbar), Criterion.MLE, tail_mass=1e-12)
+            rep = coherent_model(math.sqrt(nbar), Criterion.MLE)
             worst = max(worst, abs(rep.success_numeric - coherent_mle_success(nbar)))
         report("4(series)", worst <= 1e-8, f"max |numeric - series| = {worst:.2e}")
         assert worst <= 1e-8
@@ -161,7 +160,7 @@ class TestCriterion4:
     def test_per_sector_closed_form(self):
         worst = 0.0
         for nbar in NBAR_GRID:
-            rep = coherent_model(math.sqrt(nbar), Criterion.MLE, tail_mass=1e-12)
+            rep = coherent_model(math.sqrt(nbar), Criterion.MLE)
             cutoff = max(c for c, _, _ in rep.per_sector) - 1
             for charge, _, success in rep.per_sector:
                 if 1 <= charge <= min(50, cutoff):
@@ -183,8 +182,7 @@ class TestCriterion5:
         out = {}
         for mean_n in (1, 2, 4, 8):
             out[mean_n] = {
-                "coherent": coherent_model(math.sqrt(mean_n), Criterion.MLE,
-                                           tail_mass=1e-12).success_numeric,
+                "coherent": coherent_model(math.sqrt(mean_n), Criterion.MLE).success_numeric,
                 "uniform": uniform_model(2 * mean_n, Criterion.MLE).success_numeric,
                 "opt_phase": opt_phase_model(2 * mean_n).success_numeric,
             }
@@ -346,7 +344,7 @@ def test_criterion8_ozawa_inequality():
             z_full = np.diag(zreg[model.composite.kron_index % zreg.size])
             noise_op = v.conj().T @ z_full @ v - l_full
             noise_sq = noise_op @ noise_op
-            app = model.apparatus()
+            app = model.apparatus
             app_rho = app.pure(*(model.init[i] for i in model.apparatus_wires())).density()
             app_n = number_operator(app.space).matrix
             var_a = (np.real(np.trace(app_n @ app_n @ app_rho))

@@ -102,6 +102,18 @@ class TestTwirl:
         res = run_cli("twirl", str(bad))
         assert res.returncode == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_amplitude_exit_2_before_any_divide(self, tmp_path, capsys):
+        from waylab import cli
+
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"charges": [0, 1], "sector_dims": [1, 1],
+                                   "amplitudes": [[math.nan, 0.0], [1.0, 0.0]]}))
+        assert cli.main(["twirl", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not normalized" in err
+
 
 class TestConvert:
     def test_uniform_to_asbit_feasible(self, tmp_path):
@@ -351,6 +363,22 @@ class TestOzawaCommand:
 
     def test_missing_file_exit_2(self):
         assert run_cli("ozawa", "/nonexistent.json").returncode == 2
+
+    def test_bound_only_nan_observable_exit_2(self, tmp_path, capsys):
+        # a NaN in L once printed {"bound":NaN,...}, which is not JSON, and exited 0
+        from waylab import cli
+
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({
+            "system_space": {"charges": [0, 1], "sector_dims": [1, 1]},
+            "apparatus_space": {"charges": [0, 1], "sector_dims": [1, 1]},
+            "L": [[[math.nan, 0], [1, 0]], [[1, 0], [0, 0]]],
+            "system_state": [[0.6, 0.0], [0.8, 0.0]],
+            "apparatus_state": [[0.6, 0.0], [0.8, 0.0]]}))
+        assert cli.main(["ozawa", str(scen)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: matrix is not Hermitian within tolerance: nan")
 
     @pytest.mark.parametrize("system_state, apparatus_state", [
         ([[0, 0], [0, 0]], [[1, 0], [0, 0]]),

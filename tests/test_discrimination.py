@@ -11,8 +11,8 @@ from waylab.discrimination import (Criterion, Ensemble, SectorPovm,
                                    discriminate, mle_two_states,
                                    perfect_discrimination_possible,
                                    raynal_reduce, ud_two_states)
-from waylab.graded import (GradedSpace, NumericalError, coherent_state, g_twirl,
-                           opt_phase_state, uniform_state)
+from waylab.graded import (EPS_NUM, GradedSpace, NumericalError, coherent_state,
+                           g_twirl, opt_phase_state, uniform_state)
 from waylab.models import twirled_pair_ensemble
 
 QUBIT = GradedSpace.qubit()
@@ -132,6 +132,8 @@ class TestUdTwoStates:
                                     (pr, 1 - pr))
             total = sum(povm.effects().values())
             assert np.allclose(total, np.eye(2), atol=1e-9)
+            for eff in povm.effects().values():
+                assert np.linalg.eigvalsh(eff)[0] >= -EPS_NUM
 
     def test_matches_grid_search(self, rng):
         for _ in range(25):
@@ -182,6 +184,17 @@ class TestMleTwoStates:
                 _, success = mle_two_states(rho_p, rho_m, (pr, 1 - pr))
                 assert success == pytest.approx(
                     mle_trace_norm_success(rho_p, rho_m, (pr, 1 - pr)), abs=1e-9)
+
+    def test_povm_validity(self, rng):
+        for dim in (2, 3, 4):
+            for _ in range(15):
+                rho_p, rho_m = random_density(rng, dim), random_density(rng, dim)
+                pr = rng.random()
+                povm, _ = mle_two_states(rho_p, rho_m, (pr, 1 - pr))
+                total = sum(povm.effects().values())
+                assert np.allclose(total, np.eye(dim), atol=1e-9)
+                for eff in povm.effects().values():
+                    assert np.linalg.eigvalsh(eff)[0] >= -EPS_NUM
 
     def test_beats_random_projective(self, rng):
         rho_p, rho_m = random_density(rng, 4), random_density(rng, 4)
@@ -339,8 +352,4 @@ class TestPerfectDiscrimination:
 class TestSectorPovm:
     def test_effects_must_be_complete(self):
         with pytest.raises(ValueError):
-            SectorPovm(0, np.diag([0.5, 0.0]), np.diag([0.0, 0.5]))
-
-    def test_effects_must_be_psd(self):
-        with pytest.raises(ValueError):
-            SectorPovm(0, np.diag([1.5, 1.0]), np.diag([-0.5, 0.0]))
+            SectorPovm(np.diag([0.5, 0.0]), np.diag([0.0, 0.5]))

@@ -16,6 +16,10 @@ from waylab.graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
                            phase_rotation, sector_projector, tensor,
                            uniform_state, variance)
 from waylab import serialize
+from waylab.circuits import ConservingUnitary
+from waylab.convert import ConversionCertificate
+from waylab.discrimination import Ensemble, SectorPovm
+from waylab.models import WayScenario
 
 E_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 QUBIT = GradedSpace.qubit()
@@ -382,12 +386,32 @@ class TestStates:
         assert printed == pytest.approx((m + 2) / 2.0, abs=1e-10)
 
     def test_pure_state_norm_enforced(self):
-        with pytest.raises(ValueError):
+        # the message names how far the check was from its tolerance
+        with pytest.raises(ValueError, match=r"^state is not normalized within tolerance: "
+                                             r"0\.414 exceeds tolerance 1e-10$"):
             PureState(QUBIT, [1.0, 1.0])
 
     def test_observable_hermiticity_enforced(self):
         with pytest.raises(ValueError):
             Observable(QUBIT, [[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PureState(QUBIT, [math.nan, 1.0]),
+    lambda: Observable(QUBIT, [[math.nan, 0.0], [0.0, 1.0]]),
+    lambda: BlockState(QUBIT, {0: np.array([[math.nan]]), 1: np.array([[1.0]])}),
+    lambda: g_twirl(np.array([[math.nan, 0.0], [0.0, 1.0]]), QUBIT),
+    lambda: Ensemble(((math.nan, uniform_state(1).twirl()), (1.0, uniform_state(1).twirl()))),
+    lambda: WayScenario(QUBIT, Observable(QUBIT, np.diag([0.0, 1.0])), (math.nan, 1.0)),
+    lambda: ConversionCertificate(True, {0: math.nan}),
+    lambda: SectorPovm(np.diag([math.nan, 1.0]), np.zeros((2, 2))),
+    lambda: ConservingUnitary(QUBIT, np.diag([math.nan, 1.0])),
+], ids=["PureState", "Observable", "BlockState", "g_twirl", "Ensemble", "WayScenario",
+        "ConversionCertificate", "SectorPovm", "ConservingUnitary"])
+def test_nan_fails_the_tolerance_check(build):
+    # every ordering comparison with NaN is false, so `err > tol` alone would pass it
+    with pytest.raises(ValueError, match="nan exceeds tolerance"):
+        build()
 
 
 class TestBlockState:

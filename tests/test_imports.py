@@ -194,3 +194,51 @@ def test_src_private_functions_are_all_referenced():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "waylab").glob("*.py"))}
     assert unreferenced_private_functions(sources) == []
+
+
+TOLERANCE_NAMES = {"EPS_NUM", "FEASIBILITY_TOL"}
+
+
+def bare_tolerance_raises(source: str) -> list[int]:
+    """Lines of ``if`` statements that raise on a bare tolerance comparison.
+
+    The test is a single ``<``, ``<=``, ``>`` or ``>=`` with ``EPS_NUM``,
+    ``FEASIBILITY_TOL`` or a float literal (negated or not) on either side, and
+    the body is a lone ``raise``.  Such a guard lets NaN through, since every
+    ordering comparison with NaN is false; ``graded._require`` does not.
+    """
+    def is_tolerance(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return (isinstance(node, ast.Name) and node.id in TOLERANCE_NAMES
+                or isinstance(node, ast.Attribute) and node.attr in TOLERANCE_NAMES
+                or isinstance(node, ast.Constant) and isinstance(node.value, float))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)):
+            continue
+        test = node.test
+        if (len(test.ops) == 1 and isinstance(test.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                and (is_tolerance(test.left) or is_tolerance(test.comparators[0]))
+                and len(node.body) == 1 and isinstance(node.body[0], ast.Raise)):
+            found.append(node.lineno)
+    return found
+
+
+def test_bare_tolerance_raises_are_detected():
+    source = ("if err > EPS_NUM:\n    raise ValueError('err')\n"
+              "if p < -EPS_NUM:\n    raise ValueError('p')\n"
+              "if fit >= 1e-9:\n    raise ValueError('fit')\n"
+              "if g.FEASIBILITY_TOL < r:\n    raise ValueError('r')\n"
+              "if not err <= EPS_NUM:\n    raise ValueError('nan-safe')\n"
+              "if err > EPS_NUM:\n    return 0\n"
+              "if alpha < 0:\n    raise ValueError('integer bound')\n"
+              "_require(err, EPS_NUM, 'err')\n")
+    assert bare_tolerance_raises(source) == [1, 3, 5, 7]
+
+
+def test_src_tolerance_checks_all_go_through_require():
+    found = {path.name: bare_tolerance_raises(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "waylab").glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -113,7 +113,7 @@ class TestCoherentModel:
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_stirling_asymptote_at_100(self):
-        rep = coherent_model(10.0, Criterion.UD, tail_mass=1e-12)
+        rep = coherent_model(10.0, Criterion.UD)
         target = stirling_ud_asymptote(100.0)
         rel = abs(rep.success_numeric - target) / (1 - rep.success_numeric)
         assert rel <= 0.02
