@@ -1,17 +1,17 @@
 """Measurement under a U(1) conservation law: asymmetry resources, covariant
 discrimination, and explicit conserving readout circuits."""
 
-from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
-                     NumericalError, Observable, PureState, coherent_state,
-                     expectation, g_twirl, number_operator, opt_phase_state,
-                     phase_rotation, sector_projector, tensor, uniform_state,
-                     variance)
+from .graded import (EPS_NUM, BlockDiagonal, BlockState, CompositeSpace,
+                     GradedSpace, NumericalError, Observable, PureState,
+                     coherent_state, expectation, g_twirl, number_operator,
+                     opt_phase_state, phase_rotation, sector_projector, tensor,
+                     uniform_state, variance)
 from .convert import (ChargeDistribution, Comparison, ConversionCertificate,
                       charge_distribution, compare, deterministic_convertible,
                       frameness_entropy, stochastic_reachable_from_uniform,
                       variance_measure)
 from .discrimination import (Criterion, DiscriminationResult, Ensemble,
-                             SectorPovm, discriminate, mle_two_states,
+                             discriminate, mle_two_states,
                              perfect_discrimination_possible, raynal_reduce,
                              ud_two_states)
 from .models import (ModelReport, Verdict, WayScenario, coherent_model,

@@ -43,6 +43,7 @@ __all__ = [
     "GradedSpace",
     "PureState",
     "Observable",
+    "BlockDiagonal",
     "BlockState",
     "CompositeSpace",
     "tensor",
@@ -55,7 +56,6 @@ __all__ = [
     "uniform_state",
     "coherent_state",
     "opt_phase_state",
-    "opt_phase_norm_squared_inverse",
 ]
 
 
@@ -105,6 +105,14 @@ class GradedSpace:
         """charge -> (offset, dim), built once so that sector lookups are O(1)."""
         offsets = itertools.accumulate(self.dims, initial=0)
         return {n: (off, d) for n, off, d in zip(self.charges, offsets, self.dims)}
+
+    @functools.cached_property
+    def groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Sector dimension k -> charges and (S, k) basis indices of its S sectors, by charge."""
+        dims, charges = np.array(self.dims), np.array(self.charges, dtype=np.int64)
+        offsets = np.cumsum(dims) - dims
+        return {k: (_freeze(charges[dims == k]), _freeze(offsets[dims == k, None] + np.arange(k)))
+                for k in sorted(set(self.dims))}
 
     def _sector(self, n: int) -> tuple[int, int]:
         try:
@@ -187,11 +195,9 @@ class PureState:
         without the dense density: a unit vector is PSD with unit trace by
         construction, so no dense check is needed.
         """
-        blocks = {}
-        for n in self.space.charges:
-            v = self.sector_component(n)
-            blocks[n] = np.outer(v, v.conj())
-        return BlockState(self.space, blocks)
+        vs = {k: self.amplitudes[idx] for k, (_, idx) in self.space.groups.items()}
+        return BlockState(self.space, {k: v[:, :, None] * v.conj()[:, None, :]
+                                       for k, v in vs.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,48 +230,78 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BlockState:
-    """Density operator stored as one Hermitian PSD block per charge sector.
+class BlockDiagonal:
+    """An operator that is block diagonal over the charge sectors of ``space``.
 
-    This is the canonical form of any G-twirled state: coherences between
-    sectors are identically zero, so only the diagonal blocks are kept.
+    ``stacks[k]`` holds the (S, k, k) blocks of the S sectors of dimension k,
+    in charge order (the order of ``space.groups[k]``), so that one stacked
+    LAPACK call serves every sector of one dimension.  A dimension missing
+    from ``stacks`` is zero.
     """
 
     space: GradedSpace
-    blocks: dict[int, np.ndarray]
+    stacks: dict[int, np.ndarray]
 
     def __post_init__(self):
-        unknown = set(self.blocks) - set(self.space.charges)
+        groups = self.space.groups
+        unknown = set(self.stacks) - set(groups)
         if unknown:
-            raise ValueError(f"blocks for charges {sorted(unknown)} not in space")
+            raise ValueError(f"stacks for sector dimensions {sorted(unknown)} not in space")
         checked: dict[int, np.ndarray] = {}
-        total = 0.0
-        for n in self.space.charges:
-            d = self.space.dim_of(n)
-            b = np.asarray(self.blocks.get(n, np.zeros((d, d))), dtype=complex)
-            if b.shape != (d, d):
-                raise ValueError(f"block for charge {n} has wrong shape")
-            _require(np.max(np.abs(b - b.conj().T)), EPS_NUM,
-                     f"block for charge {n} is not Hermitian")
-            _require(-np.linalg.eigvalsh(b)[0], EPS_NUM, f"block for charge {n} is not PSD")
-            total += np.trace(b).real
-            checked[n] = _freeze(b)
-        _require(abs(total - 1.0), EPS_NUM, "block traces do not sum to one")
-        object.__setattr__(self, "blocks", checked)
+        for k, (charges, _) in groups.items():
+            shape = (len(charges), k, k)
+            s = np.asarray(self.stacks.get(k, np.zeros(shape)), dtype=complex)
+            if s.shape != shape:
+                raise ValueError(f"stack of dimension {k} has shape {s.shape}, not {shape}")
+            checked[k] = _freeze(s)
+        object.__setattr__(self, "stacks", checked)
 
     def block(self, n: int) -> np.ndarray:
-        return self.blocks[n]
-
-    def sector_weight(self, n: int) -> float:
-        return float(np.trace(self.blocks[n]).real)
+        k = self.space.dim_of(n)
+        return self.stacks[k][np.searchsorted(self.space.groups[k][0], n)]
 
     def to_dense(self) -> np.ndarray:
         d = self.space.total_dim
         out = np.zeros((d, d), dtype=complex)
-        for n in self.space.charges:
-            s = self.space.slice_of(n)
-            out[s, s] = self.blocks[n]
+        for k, (_, idx) in self.space.groups.items():
+            out[idx[:, :, None], idx[:, None, :]] = self.stacks[k]
         return out
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    """The real traces of an (S, k, k) stack."""
+    return np.trace(a, axis1=1, axis2=2).real
+
+
+def _require_blocks(errs: np.ndarray, charges: np.ndarray, what: str,
+                    exc: type[Exception] = ValueError) -> None:
+    """``_require`` on the worst of a stack's per-sector errors, naming its charge."""
+    if len(errs):
+        i = int(np.argmax(errs))  # the first NaN, if there is one
+        _require(errs[i], EPS_NUM, f"block for charge {charges[i]} {what}", exc)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockState(BlockDiagonal):
+    """Density operator stored as Hermitian PSD blocks, one per charge sector.
+
+    This is the canonical form of any G-twirled state: coherences between
+    sectors are identically zero, so only the diagonal blocks are kept.  The
+    checks run as one stacked call per sector dimension.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        for k, s in self.stacks.items():
+            charges = self.space.groups[k][0]
+            _require_blocks(np.max(np.abs(s - s.conj().swapaxes(1, 2)), axis=(1, 2)),
+                            charges, "is not Hermitian")
+            _require_blocks(-np.linalg.eigvalsh(s)[:, 0], charges, "is not PSD")
+        total = math.fsum(t for s in self.stacks.values() for t in _trace(s).tolist())
+        _require(abs(total - 1.0), EPS_NUM, "block traces do not sum to one")
+
+    def sector_weight(self, n: int) -> float:
+        return float(np.trace(self.block(n)).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,8 +399,8 @@ def g_twirl(rho: np.ndarray, space: GradedSpace) -> BlockState:
     (block extraction), hence idempotent.
     """
     rho = _check_density(rho, space.total_dim)
-    blocks = {n: rho[space.slice_of(n), space.slice_of(n)] for n in space.charges}
-    return BlockState(space, blocks)
+    return BlockState(space, {k: rho[idx[:, :, None], idx[:, None, :]]
+                              for k, (_, idx) in space.groups.items()})
 
 
 def expectation(obs: Observable, state) -> float:
@@ -372,9 +408,8 @@ def expectation(obs: Observable, state) -> float:
     if isinstance(state, BlockState):
         if state.space.total_dim != obs.space.total_dim:
             raise ValueError("state dimension does not match observable")
-        sp = state.space
-        return float(sum(np.trace(obs.matrix[sp.slice_of(n), sp.slice_of(n)] @ b).real
-                         for n, b in state.blocks.items()))
+        return math.fsum(t for k, (_, idx) in state.space.groups.items() for t in _trace(
+            obs.matrix[idx[:, :, None], idx[:, None, :]] @ state.stacks[k]).tolist())
     mat = state.amplitudes if isinstance(state, PureState) \
         else np.asarray(state, dtype=complex)
     if mat.ndim == 1:
@@ -413,8 +448,8 @@ def coherent_state(alpha: float, tail_mass: float = 1e-12) -> PureState:
     the state is exactly unit norm.  Raises :class:`NumericalError` when
     exp(-alpha^2) is not a normal float (alpha^2 above ~708).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0.0 <= alpha < math.inf:  # NaN fails too
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
     if not 0 < tail_mass < 1:
         raise ValueError("tail_mass must be in (0, 1)")
     lam = alpha * alpha
@@ -453,8 +488,7 @@ def opt_phase_state(max_charge: int) -> PureState:
 
     Amplitudes are proportional to sin((n+1) pi / (M+2)) on charges n = 0..M,
     the top eigenvector of the nearest-neighbour coupling on the charge
-    ladder.  Normalization is numerical; see
-    :func:`opt_phase_norm_squared_inverse` for the closed form it agrees with.
+    ladder.  Normalization is numerical.
     """
     if max_charge < 0:
         raise ValueError("max_charge must be >= 0")
@@ -462,16 +496,3 @@ def opt_phase_state(max_charge: int) -> PureState:
     amps = np.sin((n + 1) * math.pi / (max_charge + 2))
     amps /= np.linalg.norm(amps)
     return PureState(GradedSpace.ladder(max_charge), amps)
-
-
-def opt_phase_norm_squared_inverse(max_charge: int) -> float:
-    """Closed form for 1/C^2 of the sine-profile state.
-
-    Evaluates (1/4)(1 + 2M - csc(x) sin((2M+1)x)) + sin^2((M+1)x) with
-    x = pi/(M+2); simplifies to (M+2)/2 exactly.  Kept as a cross-check of the
-    numerical normalization used by :func:`opt_phase_state`.
-    """
-    m = max_charge
-    x = math.pi / (m + 2)
-    return 0.25 * (1 + 2 * m - math.sin((2 * m + 1) * x) / math.sin(x)) \
-        + math.sin((m + 1) * x) ** 2

@@ -86,8 +86,8 @@ def coherent_ud_success(nbar: float) -> float:
     1 - exp(-nbar) nbar^floor(nbar) / floor(nbar)!; the failure probability is
     the Poisson probability mass at the distribution's mode.
     """
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
+    if not 0.0 <= nbar < math.inf:  # NaN fails too
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
     return 1.0 - _poisson_pmf(math.floor(nbar), nbar)
 
 
@@ -98,8 +98,8 @@ def coherent_ud_success_smooth(nbar: float) -> float:
     1 - 1/sqrt(2 pi nbar) asymptote but exceeds the exact optimum at finite
     nbar, so it must not be used as a regression target for the optimizer.
     """
-    if nbar <= 0:
-        raise ValueError("nbar must be > 0")
+    if not 0.0 < nbar < math.inf:  # NaN fails too
+        raise ValueError(f"nbar must be finite and > 0, got {nbar!r}")
     return 1.0 - math.exp(-nbar + (nbar + 1) * math.log(nbar) - math.lgamma(nbar + 2))
 
 
@@ -116,8 +116,8 @@ def coherent_mle_success(nbar: float) -> float:
     exponent of size nbar cancels, so the result is accurate at any nbar.  Each
     tail stops at its first term below ``MLE_TAIL_REL_TOL`` times the term at the mode.
     """
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
+    if not 0.0 <= nbar < math.inf:  # NaN fails too
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
     mode = math.floor(nbar)
 
     def gain(k: int) -> float:  # (1 + sqrt(nbar/n))^2 at n = k + 1
@@ -255,9 +255,9 @@ def way_feasibility(scenario: WayScenario) -> tuple[Verdict, Ensemble]:
     if perfect_discrimination_possible(ensemble):
         return Verdict.PERFECT, ensemble
 
-    first = ensemble.items[0][1].blocks
-    all_equal = all(np.max(np.abs(first[n] - b)) <= EPS_NUM
-                    for _, st in ensemble.items[1:] for n, b in st.blocks.items())
+    first = ensemble.items[0][1].stacks
+    all_equal = all(np.max(np.abs(first[k] - s)) <= EPS_NUM
+                    for _, st in ensemble.items[1:] for k, s in st.stacks.items())
     if all_equal:
         return Verdict.IMPOSSIBLE, ensemble
     return Verdict.APPROXIMATE_ONLY, ensemble
@@ -284,7 +284,6 @@ class ModelReport:
     success_closed_form: float | None
     fail_numeric: float | None
     asymptote: float | None
-    per_sector: tuple[tuple[int, float, float], ...]
     result: DiscriminationResult
 
     def __post_init__(self):
@@ -294,13 +293,17 @@ class ModelReport:
                      f"({self.success_numeric!r} vs {self.success_closed_form!r})",
                      NumericalError)
 
+    @property
+    def per_sector(self) -> tuple[tuple[int, float, float], ...]:
+        """(charge, sector weight, sector success) per kept sector, in charge order."""
+        return self.result.per_sector
+
 
 def _report(criterion: Criterion, resource_name: str, param: float, mean_n: float,
             resource: PureState, closed_form: float | None,
             asymptote: float | None = None) -> ModelReport:
     _, ensemble = twirled_pair_ensemble(resource)
     result = _discriminate(ensemble, criterion)
-    per_sector = tuple((n, w, s) for n, w, s, _ in result.per_sector)
     return ModelReport(
         criterion=criterion,
         resource=resource_name,
@@ -310,7 +313,6 @@ def _report(criterion: Criterion, resource_name: str, param: float, mean_n: floa
         success_closed_form=closed_form,
         fail_numeric=result.fail_prob,
         asymptote=asymptote,
-        per_sector=per_sector,
         result=result,
     )
 
@@ -325,8 +327,8 @@ def uniform_model(m: int, criterion: Criterion) -> ModelReport:
 
 def coherent_model(alpha: float, criterion: Criterion) -> ModelReport:
     """Readout with a truncated coherent resource of amplitude alpha (nbar = alpha^2)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not 0.0 < alpha < math.inf:  # NaN fails too
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     nbar = alpha * alpha
     closed = coherent_ud_success(nbar) if criterion is Criterion.UD \
         else coherent_mle_success(nbar)

@@ -34,10 +34,6 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[_complex_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
 def space_to_json(space: GradedSpace) -> dict:
     return {"charges": list(space.charges), "sector_dims": list(space.dims)}
 
@@ -64,14 +60,8 @@ def state_from_json(obj) -> PureState:
 
 def block_state_to_json(bs: BlockState) -> dict:
     out = space_to_json(bs.space)
-    out["blocks"] = {str(n): matrix_to_json(bs.blocks[n]) for n in bs.space.charges}
+    out["blocks"] = {str(n): matrix_to_json(bs.block(n)) for n in bs.space.charges}
     return out
-
-
-def block_state_from_json(obj) -> BlockState:
-    space = space_from_json(obj)
-    blocks = {int(n): _matrix_from_json(rows) for n, rows in obj["blocks"].items()}
-    return BlockState(space, blocks)
 
 
 def distribution_to_json(probs: dict[int, float]) -> dict:
@@ -95,7 +85,7 @@ def discrimination_result_to_json(result) -> dict:
         "per_sector": [
             {"charge": charge, "weight": round_sig(weight),
              "success": round_sig(success)}
-            for charge, weight, success, _ in result.per_sector
+            for charge, weight, success in result.per_sector
         ],
         "space": space_to_json(result.space),
         "effects": {label: matrix_to_json(eff)

@@ -355,10 +355,27 @@ def dense_global_effects(result):
     ud = result.criterion.value == "ud"
     labels = ("plus", "minus", "fail") if ud else ("plus", "minus")
     effects = {lab: np.zeros((dim, dim), dtype=complex) for lab in labels}
-    for charge, _, _, povm in result.per_sector:
+    for charge, _, _ in result.per_sector:
         sl = space.slice_of(charge)
-        for lab, eff in povm.effects().items():
-            effects[lab][sl, sl] = eff
+        for lab, eff in result.effects.items():
+            effects[lab][sl, sl] = eff.block(charge)
     covered = sum(eff for eff in effects.values())
     effects["fail" if ud else "plus"] += np.eye(dim) - covered
     return effects
+
+
+# ---------------------------------------------------------------------------
+# resource states
+# ---------------------------------------------------------------------------
+
+def opt_phase_norm_squared_inverse(max_charge: int) -> float:
+    """Closed form for 1/C^2 of the sine-profile state.
+
+    Evaluates (1/4)(1 + 2M - csc(x) sin((2M+1)x)) + sin^2((M+1)x) with
+    x = pi/(M+2); simplifies to (M+2)/2 exactly.  A cross-check of the
+    numerical normalization used by ``graded.opt_phase_state``.
+    """
+    m = max_charge
+    x = math.pi / (m + 2)
+    return 0.25 * (1 + 2 * m - math.sin((2 * m + 1) * x) / math.sin(x)) \
+        + math.sin((m + 1) * x) ** 2

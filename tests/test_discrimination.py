@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from conftest import random_density, random_pure
 from oracles import (dense_global_effects, mle_trace_norm_success,
                      random_projective_success, ud_grid_search)
-from waylab.discrimination import (Criterion, Ensemble, SectorPovm,
-                                   discriminate, mle_two_states,
+import waylab.discrimination as discrimination
+from waylab.discrimination import (Criterion, Ensemble, discriminate,
+                                   mle_two_states,
                                    perfect_discrimination_possible,
                                    raynal_reduce, ud_two_states)
 from waylab.graded import (EPS_NUM, GradedSpace, NumericalError, coherent_state,
@@ -25,6 +27,21 @@ def coherent_sector_states(nbar, n):
     return np.outer(v_p, v_p), np.outer(v_m, v_m)
 
 
+def sectors_of(ensemble):
+    """charge -> the kept sector's weight, priors and states, read off the stacked reductions."""
+    return {n: SimpleNamespace(charge=n, weight=red.weights[i],
+                               priors=tuple(p[i] for p in red.priors),
+                               states=tuple(st[i] for st in red.states))
+            for red in raynal_reduce(ensemble) for i, n in enumerate(red.charges.tolist())}
+
+
+def solve_one(solver, rho_plus, rho_minus, priors):
+    """One sector through a stacked solver: its effects by label and its success."""
+    effects, success = solver(np.asarray(rho_plus)[None], np.asarray(rho_minus)[None],
+                              np.array([priors[0]]), np.array([priors[1]]))
+    return {lab: eff[0] for lab, eff in effects.items()}, float(success[0])
+
+
 def twirled_qubit_pair():
     plus = np.array([1, 1]) / math.sqrt(2)
     minus = np.array([1, -1]) / math.sqrt(2)
@@ -35,7 +52,7 @@ def twirled_qubit_pair():
 class TestRaynalReduce:
     def test_uniform_resource_sectors(self):
         _, ensemble = twirled_pair_ensemble(uniform_state(2))
-        sectors = {s.charge: s for s in raynal_reduce(ensemble)}
+        sectors = sectors_of(ensemble)
         assert set(sectors) == {0, 1, 2, 3}
         # edge sectors: identical one-dimensional projections
         for n in (0, 3):
@@ -50,14 +67,15 @@ class TestRaynalReduce:
 
     def test_weights_sum_to_one(self):
         _, ensemble = twirled_pair_ensemble(uniform_state(4))
-        assert sum(s.weight for s in raynal_reduce(ensemble)) == pytest.approx(1.0)
+        assert sum(red.weights.sum() for red in raynal_reduce(ensemble)) == pytest.approx(1.0)
 
     def test_single_sector_passthrough(self, rng):
         sp = GradedSpace((2,), (3,))
         rho_a = random_density(rng, 3)
         rho_b = random_density(rng, 3)
         ens = Ensemble(((0.3, g_twirl(rho_a, sp)), (0.7, g_twirl(rho_b, sp))))
-        (sec,) = raynal_reduce(ens)
+        assert len(raynal_reduce(ens)) == 1
+        (sec,) = sectors_of(ens).values()
         assert sec.charge == 2
         assert sec.weight == pytest.approx(1.0)
         assert np.allclose(sec.states[0], rho_a)
@@ -67,7 +85,7 @@ class TestRaynalReduce:
         from waylab.graded import coherent_state
         alpha = 1.0
         _, ensemble = twirled_pair_ensemble(coherent_state(alpha, 1e-12))
-        sectors = {s.charge: s for s in raynal_reduce(ensemble)}
+        sectors = sectors_of(ensemble)
         for n in range(1, 6):
             expected = 0.5 * math.exp(-1.0) * (1 / math.factorial(n)
                                                + 1 / math.factorial(n - 1))
@@ -86,53 +104,53 @@ class TestUdTwoStates:
                                         (0.25, 1), (6.5, 6)])
     def test_coherent_sector_success_branches(self, nbar, n):
         rho_p, rho_m = coherent_sector_states(nbar, n)
-        povm, success = ud_two_states(rho_p, rho_m, (0.5, 0.5))
+        povm, success = solve_one(ud_two_states, rho_p, rho_m, (0.5, 0.5))
         expected = 2 * min(n, nbar) / (n + nbar)
         assert success == pytest.approx(expected, abs=1e-12)
         # equal priors and symmetric states: equal weights on both effects
-        a = np.trace(povm.plus).real
-        b = np.trace(povm.minus).real
+        a = np.trace(povm["plus"]).real
+        b = np.trace(povm["minus"]).real
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_orthogonal_pure_states_perfect(self):
         v1 = np.array([1, 1]) / math.sqrt(2)
         v2 = np.array([1, -1]) / math.sqrt(2)
-        povm, success = ud_two_states(np.outer(v1, v1), np.outer(v2, v2), (0.5, 0.5))
+        povm, success = solve_one(ud_two_states, np.outer(v1, v1), np.outer(v2, v2), (0.5, 0.5))
         assert success == pytest.approx(1.0)
-        assert np.allclose(povm.fail, 0.0, atol=1e-12)
+        assert np.allclose(povm["fail"], 0.0, atol=1e-12)
 
     def test_orthogonal_mixed_any_dimension(self, rng):
         rho_p = np.zeros((4, 4), dtype=complex)
         rho_m = np.zeros((4, 4), dtype=complex)
         rho_p[:2, :2] = random_density(rng, 2)
         rho_m[2:, 2:] = random_density(rng, 2)
-        povm, success = ud_two_states(rho_p, rho_m, (0.4, 0.6))
+        povm, success = solve_one(ud_two_states, rho_p, rho_m, (0.4, 0.6))
         assert success == pytest.approx(1.0)
 
     def test_identical_states_all_fail(self, rng):
         rho = random_density(rng, 2)
-        povm, success = ud_two_states(rho, rho, (0.5, 0.5))
+        povm, success = solve_one(ud_two_states, rho, rho, (0.5, 0.5))
         assert success == 0.0
-        assert np.allclose(povm.fail, np.eye(2))
+        assert np.allclose(povm["fail"], np.eye(2))
 
     def test_no_error_condition(self, rng):
         for _ in range(40):
             v1, v2 = random_pure(rng, 2), random_pure(rng, 2)
             rho_p, rho_m = np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
             pr = rng.random()
-            povm, _ = ud_two_states(rho_p, rho_m, (pr, 1 - pr))
-            assert abs(np.trace(povm.plus @ rho_m)) < 1e-9
-            assert abs(np.trace(povm.minus @ rho_p)) < 1e-9
+            povm, _ = solve_one(ud_two_states, rho_p, rho_m, (pr, 1 - pr))
+            assert abs(np.trace(povm["plus"] @ rho_m)) < 1e-9
+            assert abs(np.trace(povm["minus"] @ rho_p)) < 1e-9
 
     def test_povm_validity(self, rng):
         for _ in range(40):
             v1, v2 = random_pure(rng, 2), random_pure(rng, 2)
             pr = rng.random()
-            povm, _ = ud_two_states(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()),
+            povm, _ = solve_one(ud_two_states, np.outer(v1, v1.conj()), np.outer(v2, v2.conj()),
                                     (pr, 1 - pr))
-            total = sum(povm.effects().values())
+            total = sum(povm.values())
             assert np.allclose(total, np.eye(2), atol=1e-9)
-            for eff in povm.effects().values():
+            for eff in povm.values():
                 assert np.linalg.eigvalsh(eff)[0] >= -EPS_NUM
 
     def test_matches_grid_search(self, rng):
@@ -140,7 +158,7 @@ class TestUdTwoStates:
             v1, v2 = random_pure(rng, 2), random_pure(rng, 2)
             rho_p, rho_m = np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
             pr = 0.2 + 0.6 * rng.random()
-            _, success = ud_two_states(rho_p, rho_m, (pr, 1 - pr))
+            _, success = solve_one(ud_two_states, rho_p, rho_m, (pr, 1 - pr))
             grid = ud_grid_search(rho_p, rho_m, (pr, 1 - pr))
             assert success == pytest.approx(grid, abs=1e-6)
 
@@ -148,13 +166,13 @@ class TestUdTwoStates:
         rho_p = random_density(rng, 2)       # full rank almost surely
         rho_m = random_density(rng, 2)
         with pytest.raises(ValueError, match="unsupported UD structure"):
-            ud_two_states(rho_p, rho_m, (0.5, 0.5))
+            solve_one(ud_two_states, rho_p, rho_m, (0.5, 0.5))
 
     def test_rejects_large_overlapping(self, rng):
         rho_p = random_density(rng, 3, rank=1)
         rho_m = random_density(rng, 3, rank=1)
         with pytest.raises(ValueError, match="unsupported UD structure"):
-            ud_two_states(rho_p, rho_m, (0.5, 0.5))
+            solve_one(ud_two_states, rho_p, rho_m, (0.5, 0.5))
 
 
 class TestMleTwoStates:
@@ -162,17 +180,17 @@ class TestMleTwoStates:
                                         (9.0, 9), (2.5, 7)])
     def test_coherent_sector_closed_form(self, nbar, n):
         rho_p, rho_m = coherent_sector_states(nbar, n)
-        _, success = mle_two_states(rho_p, rho_m, (0.5, 0.5))
+        _, success = solve_one(mle_two_states, rho_p, rho_m, (0.5, 0.5))
         assert success == pytest.approx(0.5 + math.sqrt(n * nbar) / (n + nbar),
                                         abs=1e-12)
 
     def test_identical_states_guess_majority(self, rng):
         rho = random_density(rng, 3)
-        _, success = mle_two_states(rho, rho, (0.3, 0.7))
+        _, success = solve_one(mle_two_states, rho, rho, (0.3, 0.7))
         assert success == pytest.approx(0.7)
 
     def test_orthogonal_states_perfect(self):
-        _, success = mle_two_states(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+        _, success = solve_one(mle_two_states, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                                     (0.5, 0.5))
         assert success == pytest.approx(1.0)
 
@@ -181,7 +199,7 @@ class TestMleTwoStates:
             for _ in range(15):
                 rho_p, rho_m = random_density(rng, dim), random_density(rng, dim)
                 pr = rng.random()
-                _, success = mle_two_states(rho_p, rho_m, (pr, 1 - pr))
+                _, success = solve_one(mle_two_states, rho_p, rho_m, (pr, 1 - pr))
                 assert success == pytest.approx(
                     mle_trace_norm_success(rho_p, rho_m, (pr, 1 - pr)), abs=1e-9)
 
@@ -190,21 +208,21 @@ class TestMleTwoStates:
             for _ in range(15):
                 rho_p, rho_m = random_density(rng, dim), random_density(rng, dim)
                 pr = rng.random()
-                povm, _ = mle_two_states(rho_p, rho_m, (pr, 1 - pr))
-                total = sum(povm.effects().values())
+                povm, _ = solve_one(mle_two_states, rho_p, rho_m, (pr, 1 - pr))
+                total = sum(povm.values())
                 assert np.allclose(total, np.eye(dim), atol=1e-9)
-                for eff in povm.effects().values():
+                for eff in povm.values():
                     assert np.linalg.eigvalsh(eff)[0] >= -EPS_NUM
 
     def test_beats_random_projective(self, rng):
         rho_p, rho_m = random_density(rng, 4), random_density(rng, 4)
-        _, success = mle_two_states(rho_p, rho_m, (0.5, 0.5))
+        _, success = solve_one(mle_two_states, rho_p, rho_m, (0.5, 0.5))
         best_random = random_projective_success(rho_p, rho_m, (0.5, 0.5), rng)
         assert success >= best_random - 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mle_two_states(np.eye(2) / 2, np.eye(3) / 3, (0.5, 0.5))
+            solve_one(mle_two_states, np.eye(2) / 2, np.eye(3) / 3, (0.5, 0.5))
 
 
 class TestDiscriminate:
@@ -278,8 +296,17 @@ class TestDiscriminate:
         from waylab.graded import coherent_state
         _, ensemble = twirled_pair_ensemble(coherent_state(2.0, 1e-12))
         res = discriminate(ensemble, Criterion.MLE)
-        acc = sum(w * s for _, w, s, _ in res.per_sector)
+        acc = sum(w * s for _, w, s in res.per_sector)
         assert acc == pytest.approx(res.success_prob, abs=1e-12)
+        # bit for bit, the sum runs left to right in charge order
+        for criterion in Criterion:
+            res = discriminate(ensemble, criterion)
+            charges = [c for c, _, _ in res.per_sector]
+            assert charges == sorted(charges)
+            success = 0.0
+            for _, w, s in res.per_sector:
+                success += w * s
+            assert res.success_prob == success
 
     def test_zero_weight_sector_dropped_but_povm_complete(self):
         # no ensemble member touches charge 2; the sector is omitted from the
@@ -290,7 +317,7 @@ class TestDiscriminate:
         ens = Ensemble(((0.5, g_twirl(rho_a, sp)), (0.5, g_twirl(rho_b, sp))))
         for criterion in Criterion:
             res = discriminate(ens, criterion)
-            charges = [c for c, _, _, _ in res.per_sector]
+            charges = [c for c, _, _ in res.per_sector]
             assert 2 not in charges
             total = sum(res.global_effects.values())
             assert np.allclose(total, np.eye(3), atol=1e-12)
@@ -319,6 +346,22 @@ class TestDiscriminate:
         res = discriminate(ensemble, Criterion.UD)
         with pytest.raises(NumericalError, match=match):
             dataclasses.replace(res, **{field: getattr(res, field) + 1e-6})
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda eff: eff / 2,
+         r"charge 1 has POVM effects that do not sum to the identity: 0\.25 "),
+        (lambda eff: eff * math.nan, "do not sum to the identity: nan exceeds"),
+    ], ids=["halved", "nan"])
+    def test_incomplete_sector_effects_rejected(self, monkeypatch, corrupt, match):
+        # discriminate checks that every solved sector's effects resolve the identity
+        def solver(*args):
+            effects, success = mle_two_states(*args)
+            return {"plus": effects["plus"], "minus": corrupt(effects["minus"])}, success
+
+        monkeypatch.setattr(discrimination, "mle_two_states", solver)
+        _, ensemble = twirled_pair_ensemble(uniform_state(3))
+        with pytest.raises(NumericalError, match=match):
+            discriminate(ensemble, Criterion.MLE)
 
     def test_only_binary_supported(self):
         sp = GradedSpace.ladder(1)
@@ -349,7 +392,66 @@ class TestPerfectDiscrimination:
         assert perfect_discrimination_possible(ens)
 
 
-class TestSectorPovm:
-    def test_effects_must_be_complete(self):
-        with pytest.raises(ValueError):
-            SectorPovm(np.diag([0.5, 0.0]), np.diag([0.0, 0.5]))
+def _random_stack(rng, size, dim, rank):
+    return np.array([random_density(rng, dim, rank) for _ in range(size)])
+
+
+def _readout_problems():
+    """(label, states, priors) of every sector dimension of the three readout resources."""
+    for name, resource in (("coherent", coherent_state(2.5)), ("uniform", uniform_state(9)),
+                           ("opt_phase", opt_phase_state(9))):
+        for red in raynal_reduce(twirled_pair_ensemble(resource)[1]):
+            yield f"{name}-k{red.states[0].shape[1]}", red.states, red.priors
+
+
+def _random_problems():
+    rng = np.random.default_rng(20241018)
+    for dim in (2, 3, 4):
+        for rank in range(1, dim + 1):
+            states = (_random_stack(rng, 12, dim, rank), _random_stack(rng, 12, dim, rank))
+            p = rng.random(12)
+            yield mle_two_states, f"random-k{dim}-rank{rank}", states, (p, 1 - p)
+    states = (_random_stack(rng, 40, 2, 1), _random_stack(rng, 40, 2, 1))
+    states[1][:3] = states[0][:3]  # a few identical pairs as well
+    p = rng.random(40)
+    yield ud_two_states, "random-k2-rank1", states, (p, 1 - p)
+
+
+STACK_CASES = [pytest.param(solver, states, priors, id=f"{solver.__name__}-{label}")
+               for label, states, priors in _readout_problems()
+               for solver in (ud_two_states, mle_two_states)] \
+    + [pytest.param(solver, states, priors, id=f"{solver.__name__}-{label}")
+       for solver, label, states, priors in _random_problems()]
+
+
+class TestStacking:
+    @pytest.mark.parametrize("solver, states, priors", STACK_CASES)
+    def test_stack_matches_each_slice(self, solver, states, priors):
+        # solving S sectors in one stacked call gives each sector the bytes it
+        # gets when solved alone
+        effects, success = solver(*states, *priors)
+        for i in range(len(success)):
+            one, one_success = solver(*(st[i:i + 1] for st in states),
+                                      *(p[i:i + 1] for p in priors))
+            assert success[i].tobytes() == one_success[0].tobytes(), i
+            assert list(effects) == list(one)
+            for lab in effects:
+                assert effects[lab][i].tobytes() == one[lab][0].tobytes(), (i, lab)
+
+    def test_dimension_with_every_sector_dropped(self):
+        # mass only in charge 1 (dimension 2) leaves an empty (0, 1, 1) stack
+        sp = GradedSpace((0, 1), (1, 2))
+        rho_a = np.diag([0.0, 1.0, 0.0]).astype(complex)
+        rho_b = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        ens = Ensemble(((0.5, g_twirl(rho_a, sp)), (0.5, g_twirl(rho_b, sp))))
+        (empty,) = [red for red in raynal_reduce(ens) if red.states[0].shape[1] == 1]
+        assert empty.states[0].shape == (0, 1, 1) and empty.charges.size == 0
+        for solver in (ud_two_states, mle_two_states):
+            effects, success = solver(*empty.states, *empty.priors)
+            assert success.shape == (0,)
+            assert all(eff.shape == (0, 1, 1) for eff in effects.values())
+        for criterion in Criterion:
+            res = discriminate(ens, criterion)
+            assert [c for c, _, _ in res.per_sector] == [1]
+            assert res.success_prob == pytest.approx(1.0)
+            assert np.allclose(sum(res.global_effects.values()), np.eye(3), atol=1e-12)

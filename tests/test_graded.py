@@ -8,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_pure
-from oracles import coherent_amplitudes_resumming, composite_order
+from oracles import (coherent_amplitudes_resumming, composite_order,
+                     opt_phase_norm_squared_inverse)
 from waylab.graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
                            NumericalError, Observable, PureState, coherent_state,
-                           expectation, g_twirl, number_operator,
-                           opt_phase_norm_squared_inverse, opt_phase_state,
+                           expectation, g_twirl, number_operator, opt_phase_state,
                            phase_rotation, sector_projector, tensor,
                            uniform_state, variance)
 from waylab import serialize
 from waylab.circuits import ConservingUnitary
 from waylab.convert import ConversionCertificate
-from waylab.discrimination import Ensemble, SectorPovm
+from waylab.discrimination import Ensemble
 from waylab.models import WayScenario
 
 E_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -320,8 +320,11 @@ class TestStates:
         assert 1.0 - sum(pmf[:c]) >= tail
 
     def test_coherent_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            coherent_state(-1.0)
+        for alpha in (-1.0, math.nan, math.inf):
+            # a bad input, not an internal failure, and the message names it
+            with pytest.raises(ValueError, match=f"got {alpha!r}") as err:
+                coherent_state(alpha)
+            assert not isinstance(err.value, NumericalError)
         with pytest.raises(ValueError):
             coherent_state(1.0, 0.0)
 
@@ -399,15 +402,14 @@ class TestStates:
 @pytest.mark.parametrize("build", [
     lambda: PureState(QUBIT, [math.nan, 1.0]),
     lambda: Observable(QUBIT, [[math.nan, 0.0], [0.0, 1.0]]),
-    lambda: BlockState(QUBIT, {0: np.array([[math.nan]]), 1: np.array([[1.0]])}),
+    lambda: BlockState(QUBIT, {1: np.array([[[math.nan]], [[1.0]]])}),
     lambda: g_twirl(np.array([[math.nan, 0.0], [0.0, 1.0]]), QUBIT),
     lambda: Ensemble(((math.nan, uniform_state(1).twirl()), (1.0, uniform_state(1).twirl()))),
     lambda: WayScenario(QUBIT, Observable(QUBIT, np.diag([0.0, 1.0])), (math.nan, 1.0)),
     lambda: ConversionCertificate(True, {0: math.nan}),
-    lambda: SectorPovm(np.diag([math.nan, 1.0]), np.zeros((2, 2))),
     lambda: ConservingUnitary(QUBIT, np.diag([math.nan, 1.0])),
 ], ids=["PureState", "Observable", "BlockState", "g_twirl", "Ensemble", "WayScenario",
-        "ConversionCertificate", "SectorPovm", "ConservingUnitary"])
+        "ConversionCertificate", "ConservingUnitary"])
 def test_nan_fails_the_tolerance_check(build):
     # every ordering comparison with NaN is false, so `err > tol` alone would pass it
     with pytest.raises(ValueError, match="nan exceeds tolerance"):
@@ -416,14 +418,16 @@ def test_nan_fails_the_tolerance_check(build):
 
 class TestBlockState:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BlockState(QUBIT, {0: np.array([[0.6]]), 1: np.array([[0.6]])})
-        with pytest.raises(ValueError):
-            BlockState(QUBIT, {0: np.array([[-0.1]]), 1: np.array([[1.1]])})
+        with pytest.raises(ValueError, match="do not sum to one"):
+            BlockState(QUBIT, {1: np.array([[[0.6]], [[0.6]]])})
+        with pytest.raises(ValueError, match="block for charge 0 is not PSD"):
+            BlockState(QUBIT, {1: np.array([[[-0.1]], [[1.1]]])})
 
     def test_missing_block_is_zero(self):
-        bs = BlockState(QUBIT, {0: np.array([[1.0]])})
+        # stacks are keyed by sector dimension; a missing one holds zeros
+        bs = BlockState(GradedSpace((0, 1), (1, 2)), {1: np.array([[[1.0]]])})
         assert bs.sector_weight(1) == 0.0
+        assert bs.block(1).shape == (2, 2)
 
 
 class TestSerialization:
@@ -437,9 +441,12 @@ class TestSerialization:
     def test_block_state_roundtrip(self, rng):
         sp = GradedSpace((0, 1), (2, 2))
         bs = g_twirl(random_density(rng, 4), sp)
-        back = serialize.block_state_from_json(serialize.block_state_to_json(bs))
+        obj = serialize.block_state_to_json(bs)
+        assert serialize.space_from_json(obj) == sp
         for n in sp.charges:
-            assert np.allclose(back.block(n), bs.block(n), atol=1e-9)
+            back = np.array([[complex(re, im) for re, im in row]
+                             for row in obj["blocks"][str(n)]])
+            assert np.allclose(back, bs.block(n), atol=1e-9)
 
     def test_dumps_deterministic(self):
         payload = {"b": 1.0, "a": [1, 2]}

@@ -10,6 +10,8 @@ long since imported whatever the other tests needed.
 """
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -242,3 +244,22 @@ def test_src_tolerance_checks_all_go_through_require():
     found = {path.name: bare_tolerance_raises(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "waylab").glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_benchmark_trace_hooks_resolve():
+    # perfbench/spans.py wraps waylab functions by dotted path; a renamed or
+    # moved one would only surface when the benchmark runs
+    spec = importlib.util.spec_from_file_location("waylab_bench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for key, module, path in spans.WRAPPED:
+        importlib.import_module(module)
+        try:
+            _, _, fn = spans._resolve(module, path)
+        except (AttributeError, KeyError):
+            missing.append(f"{key}: {module}.{path}")
+            continue
+        if not callable(getattr(fn, "__func__", fn)):
+            missing.append(f"{key}: {module}.{path} is not callable")
+    assert missing == []

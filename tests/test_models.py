@@ -130,6 +130,18 @@ class TestCoherentModel:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             coherent_model(0.0, Criterion.UD)
+        # non-finite amplitudes and mean charges are bad inputs, named in the error
+        for criterion in Criterion:
+            for alpha in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"got {alpha!r}") as err:
+                    coherent_model(alpha, criterion)
+                assert not isinstance(err.value, NumericalError)
+        for closed_form in (coherent_ud_success, coherent_ud_success_smooth,
+                            coherent_mle_success):
+            for nbar in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"got {nbar!r}") as err:
+                    closed_form(nbar)
+                assert not isinstance(err.value, NumericalError)
 
 
 class TestSectorNativeReadout:
@@ -376,4 +388,4 @@ class TestReferenceCurves:
         with pytest.raises(ValueError):
             ModelReport(Criterion.UD, "uniform", 2.0, 1.0,
                         res.success_prob, res.success_prob + 1e-3,
-                        res.fail_prob, None, (), res)
+                        res.fail_prob, None, res)
