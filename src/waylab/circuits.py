@@ -7,9 +7,9 @@ drive register swaps, so the whole unitary is block diagonal across total
 charge sectors (conservation is structural) and the pointer - which register
 holds the excitation - commutes with the register charge (Yanase condition).
 
-Wire order is (resource, system, [copy,] register qubits).  Operators are
-assembled in the plain multi-wire Kronecker layout and permuted once into the
-charge-major composite basis.
+Wire order is (resource, system, [copy,] register qubits).  Each unitary is
+a sum of Kronecker terms, lifted straight into its total-charge blocks in the
+charge-major composite basis; no dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import (EPS_NUM, CompositeSpace, GradedSpace, Observable, _freeze,
-                     _require, uniform_state)
+from .graded import (EPS_NUM, BlockDiagonal, CompositeSpace, GradedSpace, Observable,
+                     _check_density, _require, uniform_state)
 from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
@@ -45,15 +45,10 @@ __all__ = [
 ]
 
 
-def unitarity_deviation(u: np.ndarray) -> float:
-    """Largest entry of |U^dagger U - 1|; zero for a unitary."""
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-
-
-def _commutator_norm(a: np.ndarray, n: np.ndarray) -> float:
-    """Spectral norm of [A, diag(n)]; exactly 0.0, without an SVD, when they commute."""
-    comm = a * n - n[:, None] * a
-    return float(np.linalg.norm(comm, 2)) if comm.any() else 0.0
+def unitarity_deviation(unitary: BlockDiagonal) -> float:
+    """Largest entry of |U_s^dagger U_s - 1| over the sector blocks; zero for a unitary."""
+    return float(np.max([np.max(np.abs(s.conj().swapaxes(1, 2) @ s - np.eye(k)))
+                         for k, s in unitary.stacks.items()]))
 
 
 def _pointer_diagonal(composite: CompositeSpace, pointer: dict[str, np.ndarray]) -> np.ndarray:
@@ -69,22 +64,21 @@ def _pointer_diagonal(composite: CompositeSpace, pointer: dict[str, np.ndarray])
     return zreg[composite.kron_index % zreg.size]
 
 
-@dataclass(frozen=True, eq=False)
-class ConservingUnitary:
-    """Unitary on ``space`` that commutes with its total charge, diag(space.charge_labels())."""
+class ConservingUnitary(BlockDiagonal):
+    """Unitary on ``space``, held as its total-charge blocks.
 
-    space: GradedSpace
-    matrix: np.ndarray
+    Being block diagonal, it commutes with the total charge by construction;
+    only unitarity is checked, one stacked product per sector dimension.
+    """
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.space.total_dim
-        if m.shape != (d, d):
-            raise ValueError("matrix does not match space dimension")
-        _require(unitarity_deviation(m), EPS_NUM, "matrix is not unitary within tolerance")
-        _require(_commutator_norm(m, self.space.charge_labels()), EPS_NUM,
-                 "matrix does not conserve the total charge")
-        object.__setattr__(self, "matrix", _freeze(m))
+        super().__post_init__()
+        _require(unitarity_deviation(self), EPS_NUM, "matrix is not unitary within tolerance")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense unitary in the composite basis, formed on each read."""
+        return self.to_dense()
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +140,7 @@ class MeasurementModel:
 
     def initial_density_full(self, system_rho: np.ndarray) -> np.ndarray:
         """rho_system (x) apparatus-init, in the composite graded basis."""
-        rho = np.asarray(system_rho, dtype=complex)
-        ds = self.system_space.total_dim
-        if rho.shape != (ds, ds):
-            raise ValueError("system state has wrong dimension")
+        rho = _check_density(system_rho, self.system_space.total_dim)
         return self.composite.promote(*(
             rho if i == self.system_wire else np.outer(vec, vec.conj())
             for i, vec in enumerate(self.init)))
@@ -165,7 +156,7 @@ class MeasurementModel:
         """Commutator lower bound evaluated on rho_system (x) apparatus init."""
         app = self.apparatus
         app_rho = app.pure(*(self.init[i] for i in self.apparatus_wires())).density()
-        joint = np.kron(np.asarray(system_rho, dtype=complex), app_rho)
+        joint = np.kron(_check_density(system_rho, self.system_space.total_dim), app_rho)
         return ozawa_bound(Observable(self.system_space, PLUS_MINUS_OBSERVABLE),
                            app.space, joint)
 
@@ -182,20 +173,14 @@ def _branch_projectors(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sectors where the two twirled states coincide).
     """
     dim = 2 * (m + 1)
-
-    def ket(r: int, s: int) -> np.ndarray:
-        v = np.zeros(dim)
-        v[2 * r + s] = 1.0
-        return v
-
-    p_plus = np.zeros((dim, dim))
-    p_minus = np.zeros((dim, dim))
-    for n in range(1, m + 1):
-        phi_p = (ket(n, 0) + ket(n - 1, 1)) / math.sqrt(2.0)
-        phi_m = (ket(n, 0) - ket(n - 1, 1)) / math.sqrt(2.0)
-        p_plus += np.outer(phi_p, phi_p)
-        p_minus += np.outer(phi_m, phi_m)
-    p_edge = np.outer(ket(0, 0), ket(0, 0)) + np.outer(ket(m, 1), ket(m, 1))
+    r = 1.0 / math.sqrt(2.0)
+    h = r * r  # each entry of the outer products of (|n,0> +/- |n-1,1>)/sqrt(2)
+    n0, n1 = np.arange(2, dim, 2), np.arange(1, dim - 1, 2)  # |n,0> and |n-1,1>, n = 1..M
+    p_plus, p_minus, p_edge = np.zeros((3, dim, dim))
+    for p, cross in ((p_plus, h), (p_minus, -h)):
+        p[n0, n0] = p[n1, n1] = h
+        p[n0, n1] = p[n1, n0] = cross
+    p_edge[0, 0] = p_edge[-1, -1] = 1.0
     return p_plus, p_minus, p_edge
 
 
@@ -222,14 +207,6 @@ def _register_mask(num_wires: int, bits: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
-def _assemble(kind: str, m: int, wires: list[GradedSpace], init: list[np.ndarray | None],
-              v_kron: np.ndarray, pointer: dict[str, np.ndarray]) -> MeasurementModel:
-    comp = CompositeSpace.of(wires)
-    unitary = ConservingUnitary(comp.space, comp.matrix(v_kron))
-    return MeasurementModel(kind=kind, m=m, composite=comp, init=tuple(init),
-                            unitary=unitary, pointer=pointer)
-
-
 def build_ud_unitary(m: int) -> MeasurementModel:
     """Unambiguous-readout circuit with three register qubits.
 
@@ -241,18 +218,17 @@ def build_ud_unitary(m: int) -> MeasurementModel:
     if m < 1:
         raise ValueError("m must be >= 1")
     qubit = GradedSpace.qubit()
-    wires = [GradedSpace.ladder(m), qubit, qubit, qubit, qubit]
+    comp = CompositeSpace.of([GradedSpace.ladder(m), qubit, qubit, qubit, qubit])
     p_plus, p_minus, p_edge = _branch_projectors(m)
-    v_kron = (np.kron(p_edge, np.eye(8))
-              + np.kron(p_minus, _qubit_swap(3, 1, 2))
-              + np.kron(p_plus, _qubit_swap(3, 0, 2)))
+    unitary = ConservingUnitary(comp.space, comp.lift(
+        (p_edge, np.eye(8)), (p_minus, _qubit_swap(3, 1, 2)), (p_plus, _qubit_swap(3, 0, 2))))
     plus = _register_mask(3, (1, 0, 0))
     minus = _register_mask(3, (0, 1, 0))
     pointer = {"plus": plus, "minus": minus, "fail": np.ones(8) - plus - minus}
-    init = [uniform_state(m).amplitudes, None,
+    init = (uniform_state(m).amplitudes, None,
             _register_mask(1, (0,)), _register_mask(1, (0,)),
-            _register_mask(1, (1,))]
-    return _assemble("ud", m, wires, init, v_kron, pointer)
+            _register_mask(1, (1,)))
+    return MeasurementModel("ud", m, comp, init, unitary, pointer)
 
 
 def build_mle_unitary(m: int) -> MeasurementModel:
@@ -265,15 +241,15 @@ def build_mle_unitary(m: int) -> MeasurementModel:
     if m < 1:
         raise ValueError("m must be >= 1")
     qubit = GradedSpace.qubit()
-    wires = [GradedSpace.ladder(m), qubit, qubit, qubit]
+    comp = CompositeSpace.of([GradedSpace.ladder(m), qubit, qubit, qubit])
     p_plus, p_minus, p_edge = _branch_projectors(m)
-    v_kron = (np.kron(p_plus + p_edge, _qubit_swap(2, 0, 1))
-              + np.kron(p_minus, np.eye(4)))
+    unitary = ConservingUnitary(comp.space, comp.lift(
+        (p_plus + p_edge, _qubit_swap(2, 0, 1)), (p_minus, np.eye(4))))
     plus = _register_mask(2, (1, 0))
     pointer = {"plus": plus, "minus": np.ones(4) - plus}
-    init = [uniform_state(m).amplitudes, None,
-            _register_mask(1, (0,)), _register_mask(1, (1,))]
-    return _assemble("mle", m, wires, init, v_kron, pointer)
+    init = (uniform_state(m).amplitudes, None,
+            _register_mask(1, (0,)), _register_mask(1, (1,)))
+    return MeasurementModel("mle", m, comp, init, unitary, pointer)
 
 
 def build_repeatable_variant(m: int) -> MeasurementModel:
@@ -288,33 +264,31 @@ def build_repeatable_variant(m: int) -> MeasurementModel:
     if m < 1:
         raise ValueError("m must be >= 1")
     qubit = GradedSpace.qubit()
-    wires = [GradedSpace.ladder(m), qubit, qubit, qubit, qubit, qubit]
+    comp = CompositeSpace.of([GradedSpace.ladder(m), qubit, qubit, qubit, qubit, qubit])
     p_plus, p_minus, p_edge = _branch_projectors(m)
     eye2, eye8 = np.eye(2), np.eye(8)
-    v1 = (np.kron(p_edge, np.kron(eye2, eye8))
-          + np.kron(p_minus, np.kron(eye2, _qubit_swap(3, 1, 2)))
-          + np.kron(p_plus, np.kron(eye2, _qubit_swap(3, 0, 2))))
+    v1 = BlockDiagonal(comp.space, comp.lift(
+        (p_edge, np.kron(eye2, eye8)), (p_minus, np.kron(eye2, _qubit_swap(3, 1, 2))),
+        (p_plus, np.kron(eye2, _qubit_swap(3, 0, 2)))))
 
-    dim_rs = 2 * (m + 1)
     eye_r = np.eye(m + 1)
     swap_sc = _qubit_swap(2, 0, 1)
     phase_then_swap = swap_sc @ np.kron(eye2, np.diag([1.0, -1.0]))
-    q_plus = np.diag(_register_mask(3, (1, 0, 0)))
-    q_minus = np.diag(_register_mask(3, (0, 1, 0)))
-    q_rest = eye8 - q_plus - q_minus
-    v2 = (np.kron(eye_r, np.kron(swap_sc, q_plus))
-          + np.kron(eye_r, np.kron(phase_then_swap, q_minus))
-          + np.kron(eye_r, np.kron(np.eye(4), q_rest)))
-    v_kron = v2 @ v1
-
     plus = _register_mask(3, (1, 0, 0))
     minus = _register_mask(3, (0, 1, 0))
+    q_plus, q_minus = np.diag(plus), np.diag(minus)
+    q_rest = eye8 - q_plus - q_minus
+    v2 = BlockDiagonal(comp.space, comp.lift(
+        (eye_r, np.kron(swap_sc, q_plus)), (eye_r, np.kron(phase_then_swap, q_minus)),
+        (eye_r, np.kron(np.eye(4), q_rest))))
+
     pointer = {"plus": plus, "minus": minus, "fail": np.ones(8) - plus - minus}
     plus_vec, _ = plus_minus_eigenstates()
-    init = [uniform_state(m).amplitudes, None, plus_vec.astype(complex),
+    init = (uniform_state(m).amplitudes, None, plus_vec.astype(complex),
             _register_mask(1, (0,)), _register_mask(1, (0,)),
-            _register_mask(1, (1,))]
-    return _assemble("repeatable", m, wires, init, v_kron, pointer)
+            _register_mask(1, (1,)))
+    return MeasurementModel("repeatable", m, comp, init,
+                            ConservingUnitary(comp.space, (v2 @ v1).stacks), pointer)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +303,8 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
     post-measurement reduced system state (``None`` when the outcome
     probability is numerically zero).  Probabilities sum to one.
     """
-    rho = model.initial_density_full(system_state)
-    v = model.unitary.matrix
-    evolved = v @ rho @ v.conj().T
+    v = model.unitary
+    evolved = (v @ (v @ model.initial_density_full(system_state)).conj().T).conj().T
 
     comp = model.composite
     inv = np.argsort(comp.kron_index)
@@ -360,8 +333,11 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
 
 
 def verify_conservation(unitary: ConservingUnitary) -> float:
-    """Spectral norm of [V, N_tot]; zero for a charge-conserving unitary."""
-    return _commutator_norm(unitary.matrix, unitary.space.charge_labels())
+    """Spectral norm of [V, N_tot]: 0.0, with no work done.
+
+    V is held as total-charge blocks, and N_tot is constant on each, so they commute.
+    """
+    return 0.0
 
 
 def verify_yanase(model: MeasurementModel) -> float:

@@ -257,7 +257,7 @@ def cmd_circuit(args) -> int:
 
     cons = verify_conservation(model.unitary)
     yanase = verify_yanase(model)
-    unit = unitarity_deviation(model.unitary.matrix)
+    unit = unitarity_deviation(model.unitary)
     outcomes = simulate_measurement(model, rho_in)
     table = {}
     for label in sorted(outcomes):

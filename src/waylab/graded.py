@@ -11,7 +11,7 @@ Conventions
 * Charges are integers, listed strictly increasing.  Basis vectors are grouped
   by charge ("charge-major" ordering); the index layout inside a sector is an
   arbitrary but fixed labelling 0..dim-1.
-* All arrays are immutable after construction (``writeable=False``); every
+* Values keep read-only copies of their arrays (``writeable=False``); every
   operation returns fresh values, so concurrent use is safe.
 * ``EPS_NUM`` is the global numerical tolerance for hermiticity / positivity /
   normalization checks.  Every tolerance check in the package goes through
@@ -68,7 +68,7 @@ class NumericalError(ValueError):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    a = np.array(a, order="C")
     a.setflags(write=False)
     return a
 
@@ -267,6 +267,16 @@ class BlockDiagonal:
             out[idx[:, :, None], idx[:, None, :]] = self.stacks[k]
         return out
 
+    def __matmul__(self, other):
+        """Stack by stack with a ``BlockDiagonal`` on the same space, else on dense (d, n) rows."""
+        if isinstance(other, BlockDiagonal):
+            return BlockDiagonal(self.space, {k: s @ other.stacks[k]
+                                              for k, s in self.stacks.items()})
+        out = np.empty(other.shape, dtype=complex)
+        for k, (_, idx) in self.space.groups.items():
+            out[idx] = self.stacks[k] @ other[idx]
+        return out
+
 
 def _trace(a: np.ndarray) -> np.ndarray:
     """The real traces of an (S, k, k) stack."""
@@ -349,6 +359,20 @@ class CompositeSpace:
     def matrix(self, kron_mat: np.ndarray) -> np.ndarray:
         m = np.asarray(kron_mat, dtype=complex)
         return m[np.ix_(self.kron_index, self.kron_index)]
+
+    def lift(self, *terms: tuple[np.ndarray, np.ndarray]) -> dict[int, np.ndarray]:
+        """Sector stacks of sum_t kron(a_t, b_t), where b_t acts on the trailing wires.
+
+        Entries a_t[i, i'] * b_t[j, j'] are summed in term order, as in ``matrix``
+        of the dense sum.  Entries between sectors are dropped: they vanish
+        when the sum conserves the charge.
+        """
+        def blocks(idx: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            i, j = divmod(self.kron_index[idx], len(b))
+            return a[i[:, :, None], i[:, None, :]] * b[j[:, :, None], j[:, None, :]]
+
+        return {k: functools.reduce(np.add, (blocks(idx, a, b) for a, b in terms))
+                for k, (_, idx) in self.space.groups.items()}
 
     def pure(self, *factors: PureState | np.ndarray) -> PureState:
         """The product state of one vector per wire."""

@@ -266,6 +266,59 @@ def _commutator_norm(a, b):
     return float(np.linalg.norm(a @ b - b @ a, 2))
 
 
+def outer_product_projectors(m):
+    """P_plus, P_minus and P_edge on resource (x) system, as sums of outer products."""
+    dim = 2 * (m + 1)
+
+    def ket(r, s):
+        v = np.zeros(dim)
+        v[2 * r + s] = 1.0
+        return v
+
+    p_plus = np.zeros((dim, dim))
+    p_minus = np.zeros((dim, dim))
+    for n in range(1, m + 1):
+        phi_p = (ket(n, 0) + ket(n - 1, 1)) / math.sqrt(2.0)
+        phi_m = (ket(n, 0) - ket(n - 1, 1)) / math.sqrt(2.0)
+        p_plus += np.outer(phi_p, phi_p)
+        p_minus += np.outer(phi_m, phi_m)
+    p_edge = np.outer(ket(0, 0), ket(0, 0)) + np.outer(ket(m, 1), ket(m, 1))
+    return p_plus, p_minus, p_edge
+
+
+def _qubit_swap(num_wires, i, j):
+    """SWAP of qubits i and j of a bank of num_wires, by transposing the identity's axes."""
+    eye = np.eye(1 << num_wires).reshape((2,) * (2 * num_wires))
+    return eye.swapaxes(i, j).reshape(1 << num_wires, 1 << num_wires)
+
+
+def dense_kron_unitary(kind, m):
+    """The unitary of the ``kind`` circuit as a dense Kronecker sum, in the plain wire layout.
+
+    Sums the terms in the builders' order, so ``composite.matrix`` of the
+    result holds the bits the sector blocks should hold.
+    """
+    p_plus, p_minus, p_edge = outer_product_projectors(m)
+    if kind == "mle":
+        return np.kron(p_plus + p_edge, _qubit_swap(2, 0, 1)) + np.kron(p_minus, np.eye(4))
+    eye2, eye8 = np.eye(2), np.eye(8)
+    if kind == "ud":
+        return (np.kron(p_edge, eye8) + np.kron(p_minus, _qubit_swap(3, 1, 2))
+                + np.kron(p_plus, _qubit_swap(3, 0, 2)))
+    v1 = (np.kron(p_edge, np.kron(eye2, eye8))
+          + np.kron(p_minus, np.kron(eye2, _qubit_swap(3, 1, 2)))
+          + np.kron(p_plus, np.kron(eye2, _qubit_swap(3, 0, 2))))
+    eye_r = np.eye(m + 1)
+    swap_sc = _qubit_swap(2, 0, 1)
+    phase_then_swap = swap_sc @ np.kron(eye2, np.diag([1.0, -1.0]))
+    q_plus, q_minus = np.diag(eye8[0b100]), np.diag(eye8[0b010])
+    q_rest = eye8 - q_plus - q_minus
+    v2 = (np.kron(eye_r, np.kron(swap_sc, q_plus))
+          + np.kron(eye_r, np.kron(phase_then_swap, q_minus))
+          + np.kron(eye_r, np.kron(np.eye(4), q_rest)))
+    return v2 @ v1
+
+
 def dense_circuit_reference(model, system_rho, prob_cutoff: float = 1e-14):
     """Circuit-layer quantities of a ``MeasurementModel``, from dense matrices only.
 

@@ -1,24 +1,28 @@
 import math
+import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure
-from oracles import dense_circuit_reference
+from conftest import random_density, random_pure, random_unitary
+from oracles import (dense_circuit_reference, dense_kron_unitary,
+                     outer_product_projectors)
 from waylab.circuits import (CompositeSpace, ConservingUnitary,
                              build_mle_unitary, build_repeatable_variant,
                              build_ud_unitary, model_manifest,
-                             simulate_measurement, verify_conservation,
-                             verify_yanase)
+                             simulate_measurement, unitarity_deviation,
+                             verify_conservation, verify_yanase)
 from waylab.discrimination import Criterion, discriminate
-from waylab.graded import (GradedSpace, g_twirl, number_operator, tensor,
-                           uniform_state)
+from waylab.graded import (EPS_NUM, BlockDiagonal, GradedSpace, g_twirl,
+                           number_operator, tensor, uniform_state)
 from waylab.models import twirled_pair_ensemble
 
 E_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 E_MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
 
 ALL_BUILDERS = (build_ud_unitary, build_mle_unitary, build_repeatable_variant)
+KINDS = {"ud": build_ud_unitary, "mle": build_mle_unitary, "repeatable": build_repeatable_variant}
 
 
 def rho_of(vec):
@@ -45,19 +49,20 @@ class TestStructuralChecks:
 
     def test_nonconserving_swap_detected(self):
         # swap between a charge-{0,1} qubit and a charge-{0,2} wire is not
-        # charge conserving: the commutator norm must be positive
+        # charge conserving: the commutator norm is positive, and lifting it
+        # into total-charge blocks drops the entries that move charge, which
+        # leaves blocks that are not unitary
         a = GradedSpace.qubit()
         b = GradedSpace((0, 2), (1, 1))
         tm = tensor(a, b)
-        swap = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                swap[2 * j + i, 2 * i + j] = 1.0
-        v = tm.matrix(swap)
+        e = np.eye(2)
+        terms = [(np.outer(e[j], e[i]), np.outer(e[i], e[j]))
+                 for i in range(2) for j in range(2)]  # |i,j> -> |j,i>
+        v = tm.matrix(sum(np.kron(x, y) for x, y in terms))
         n = number_operator(tm.space).matrix
         assert np.linalg.norm(v @ n - n @ v, 2) > 0.5
-        with pytest.raises(ValueError, match="conserve"):
-            ConservingUnitary(tm.space, v)
+        with pytest.raises(ValueError, match="not unitary"):
+            ConservingUnitary(tm.space, tm.lift(*terms))
 
     @pytest.mark.parametrize("builder", ALL_BUILDERS)
     def test_yanase_norm_is_exactly_zero(self, builder):
@@ -100,6 +105,86 @@ class TestDenseReference:
                 assert (post is None) == (ref_post is None)
                 if post is not None:
                     np.testing.assert_allclose(post, ref_post, rtol=0, atol=1e-12)
+
+
+class TestSectorBlocks:
+    """The unitaries are built as total-charge blocks, never as dense matrices."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [*range(1, 13), 16, 24])
+    def test_blocks_hold_the_dense_kronecker_bits(self, kind, m):
+        model = KINDS[kind](m)
+        want = model.composite.matrix(dense_kron_unitary(kind, m))
+        assert model.unitary.matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [*range(1, 40), 64, 100, 200])
+    def test_branch_projectors_hold_the_outer_product_bits(self, m):
+        from waylab.circuits import _branch_projectors
+        for got, want in zip(_branch_projectors(m), outer_product_projectors(m)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_lift_matches_the_blocks_of_the_dense_kronecker_product(self, rng):
+        # b acts on the last wire; the composite mixes sectors of several dimensions
+        comp = CompositeSpace.of([GradedSpace((0, 1, 3), (1, 2, 1)), GradedSpace.qubit(),
+                                  GradedSpace((-1, 0, 2), (2, 1, 1))])
+        terms = [(random_unitary(rng, 8), random_unitary(rng, 4)) for _ in range(2)]
+        for used in (terms[:1], terms):
+            lifted = BlockDiagonal(comp.space, comp.lift(*used))
+            want = comp.matrix(sum(np.kron(a, b) for a, b in used))
+            for n in comp.space.charges:
+                s = comp.space.slice_of(n)
+                assert lifted.block(n).tobytes() == want[s, s].tobytes()
+
+    def test_products_match_the_dense_products(self, rng):
+        space = GradedSpace((0, 1, 2, 5), (2, 3, 2, 1))
+
+        def random_blocks():
+            return BlockDiagonal(space, {k: np.stack([random_unitary(rng, k) for _ in charges])
+                                         for k, (charges, _) in space.groups.items()})
+        u, v = random_blocks(), random_blocks()
+        rows = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        np.testing.assert_allclose((u @ v).to_dense(), u.to_dense() @ v.to_dense(),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u @ rows, u.to_dense() @ rows, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("builder", ALL_BUILDERS)
+    def test_top_of_range_builds_and_verifies_in_blocks(self, builder):
+        # one dense complex unitary at m = 1000 takes 1.0 (mle) to 16.4 (repeatable) GB
+        def expire(signum, frame):
+            raise TimeoutError(f"{builder.__name__}(1000) still running after 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        tracemalloc.start()
+        try:
+            model = builder(1000)
+            deviation = unitarity_deviation(model.unitary)
+            yanase = verify_yanase(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert deviation <= EPS_NUM
+        assert yanase == 0.0
+        assert peak < 256 * 2 ** 20
+
+
+@pytest.mark.parametrize("rho, message", [
+    (np.eye(2), "unit trace"),
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), "nan exceeds tolerance"),
+    (np.diag([1.5, -0.5]), "positive semidefinite"),
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+    (np.eye(3) / 3, "dimension"),
+], ids=["trace-2", "nan", "non-psd", "non-hermitian", "wrong-shape"])
+@pytest.mark.parametrize("run", [
+    lambda model, rho: simulate_measurement(model, rho),
+    lambda model, rho: model.noise(rho),
+    lambda model, rho: model.noise_bound(rho),
+], ids=["simulate_measurement", "noise", "noise_bound"])
+def test_invalid_system_state_rejected(run, rho, message):
+    with pytest.raises(ValueError, match=message):
+        run(build_ud_unitary(2), rho)
 
 
 class TestUdCircuit:

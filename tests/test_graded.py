@@ -407,13 +407,31 @@ class TestStates:
     lambda: Ensemble(((math.nan, uniform_state(1).twirl()), (1.0, uniform_state(1).twirl()))),
     lambda: WayScenario(QUBIT, Observable(QUBIT, np.diag([0.0, 1.0])), (math.nan, 1.0)),
     lambda: ConversionCertificate(True, {0: math.nan}),
-    lambda: ConservingUnitary(QUBIT, np.diag([math.nan, 1.0])),
+    lambda: ConservingUnitary(QUBIT, {1: np.array([[[math.nan]], [[1.0]]])}),
 ], ids=["PureState", "Observable", "BlockState", "g_twirl", "Ensemble", "WayScenario",
         "ConversionCertificate", "ConservingUnitary"])
 def test_nan_fails_the_tolerance_check(build):
     # every ordering comparison with NaN is false, so `err > tol` alone would pass it
     with pytest.raises(ValueError, match="nan exceeds tolerance"):
         build()
+
+
+@pytest.mark.parametrize("build, held, array", [
+    (lambda a: PureState(QUBIT, a), lambda o: o.amplitudes, np.array([1.0 + 0j, 0.0])),
+    (lambda a: Observable(QUBIT, a), lambda o: o.matrix, np.eye(2, dtype=complex)),
+    (lambda a: BlockState(QUBIT, {1: a}), lambda o: o.stacks[1],
+     np.array([[[0.5 + 0j]], [[0.5]]])),
+    (lambda a: ConservingUnitary(QUBIT, {1: a}), lambda o: o.stacks[1],
+     np.ones((2, 1, 1), dtype=complex)),
+], ids=["PureState", "Observable", "BlockState", "ConservingUnitary"])
+def test_constructors_leave_the_callers_array_alone(build, held, array):
+    # a complex contiguous input is what np.asarray and np.ascontiguousarray pass through uncopied
+    obj = build(array)
+    before = held(obj).copy()
+    assert array.flags.writeable
+    array[...] = 7.0
+    assert held(obj).tobytes() == before.tobytes()
+    assert not held(obj).flags.writeable
 
 
 class TestBlockState:

@@ -157,6 +157,51 @@ def test_src_modules_have_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def unread_locals(source: str) -> list[str]:
+    """Names a function assigns but never reads, in it or in a function nested in it.
+
+    Names that start with ``_`` are exempt, as are ``global`` and
+    ``nonlocal`` names, which other scopes read.
+    """
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        shared = {name for node in nodes if isinstance(node, (ast.Global, ast.Nonlocal))
+                  for name in node.names}
+        read = {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found |= {f"{node.id} (line {node.lineno})" for node in nodes
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                  and not node.id.startswith("_") and node.id not in read | shared}
+    return sorted(found)
+
+
+def test_unread_locals_are_detected():
+    source = ("def f(xs):\n"
+              "    total, unused = 0, 1\n"
+              "    for x in xs:\n"
+              "        total += x\n"
+              "    dead = total\n"
+              "    _, kept = xs\n"
+              "    def g():\n"
+              "        return kept\n"
+              "    return g\n"
+              "\n"
+              "count = 0\n"
+              "def h():\n"
+              "    global count\n"
+              "    count = 1\n")
+    assert unread_locals(source) == ["dead (line 5)", "unused (line 2)"]
+
+
+def test_src_modules_have_no_unread_locals():
+    found = {path.name: unread_locals(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "waylab").glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     """Module-level ``_private`` functions that no module in ``sources`` references.
 
