@@ -301,34 +301,33 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
 
     Returns, per outcome label, the outcome probability and the normalized
     post-measurement reduced system state (``None`` when the outcome
-    probability is numerically zero).  Probabilities sum to one.
+    probability is numerically zero).  Probabilities sum to one.  Only the
+    pointer-masked diagonal of V rho V^dagger and, for each apparatus index a,
+    the system entries <s,a| . |s',a> are read.
     """
     v = model.unitary
-    evolved = (v @ (v @ model.initial_density_full(system_state)).conj().T).conj().T
-
+    # the evolved state is b^dagger: two stacked products per sector dimension, on the
+    # operands the dense readout used, so that every printed bit is kept
+    b = v @ np.conjugate((v @ model.initial_density_full(system_state)).T, order="C")
     comp = model.composite
-    inv = np.argsort(comp.kron_index)
     dims = comp.wire_dims
-    sys_i = model.system_wire
-    ds = dims[sys_i]
+    ds = dims[model.system_wire]
+    pos = np.empty_like(comp.kron_index)
+    pos[comp.kron_index] = np.arange(pos.size)
+    # composite index of |s, a>: system index s, apparatus Kronecker index a
+    pos = np.moveaxis(pos.reshape(dims), model.system_wire, 0).reshape(ds, -1)
+    diag = np.conj(np.diagonal(b))
+    coherences = np.conj(b[pos[None, :, :], pos[:, None, :]])  # <s,a| . |s',a> at [s, s', a]
     out: dict[str, tuple[float, np.ndarray | None]] = {}
     for label, mask in model.pointer.items():
         keep = mask[comp.kron_index % mask.size]
-        selected = evolved * np.outer(keep, keep)
-        prob = float(np.real(np.trace(selected)))
+        prob = float(np.real(np.sum(diag * keep)))
         if prob <= PROB_CUTOFF:
             out[label] = (max(prob, 0.0), None)
             continue
-        kron_rho = selected[np.ix_(inv, inv)].reshape(*dims, *dims)
-        # trace out every wire but the system
-        keep_src = list(range(len(dims)))
-        keep_dst = [i + len(dims) for i in keep_src]
-        subs_in = keep_src + keep_dst
-        for i in range(len(dims)):
-            if i != sys_i:
-                subs_in[len(dims) + i] = i
-        reduced = np.einsum(kron_rho, subs_in, [sys_i, len(dims) + sys_i])
-        out[label] = (prob, reduced.reshape(ds, ds) / prob)
+        kept = keep[pos]
+        reduced = np.einsum(coherences * (kept[:, None, :] * kept[None, :, :]), [0, 1, 2], [0, 1])
+        out[label] = (prob, reduced / prob)
     return out
 
 

@@ -67,8 +67,9 @@ class NumericalError(ValueError):
     """
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, order="C")
+def _freeze(a: np.ndarray, dtype=None) -> np.ndarray:
+    """A read-only C-ordered copy of ``a``, cast to ``dtype`` in the same single copy."""
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -175,12 +176,12 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _freeze(self.amplitudes, complex)
         if amps.shape != (self.space.total_dim,):
             raise ValueError("amplitude vector does not match space dimension")
         _require(abs(np.linalg.norm(amps) - 1.0), EPS_NUM,
                  "state is not normalized within tolerance")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        object.__setattr__(self, "amplitudes", amps)
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -208,13 +209,13 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _freeze(self.matrix, complex)
         d = self.space.total_dim
         if m.shape != (d, d):
             raise ValueError("matrix does not match space dimension")
         _require(np.max(np.abs(m - m.conj().T)), EPS_NUM,
                  "matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
 
 
 def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
@@ -250,10 +251,10 @@ class BlockDiagonal:
         checked: dict[int, np.ndarray] = {}
         for k, (charges, _) in groups.items():
             shape = (len(charges), k, k)
-            s = np.asarray(self.stacks.get(k, np.zeros(shape)), dtype=complex)
-            if s.shape != shape:
-                raise ValueError(f"stack of dimension {k} has shape {s.shape}, not {shape}")
-            checked[k] = _freeze(s)
+            s = self.stacks.get(k, np.zeros(shape))
+            if np.shape(s) != shape:
+                raise ValueError(f"stack of dimension {k} has shape {np.shape(s)}, not {shape}")
+            checked[k] = _freeze(s, complex)
         object.__setattr__(self, "stacks", checked)
 
     def block(self, n: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .discrimination import (Criterion, DiscriminationResult, Ensemble,
                              perfect_discrimination_possible)
 from .discrimination import discriminate as _discriminate
-from .graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
+from .graded import (EPS_NUM, BlockDiagonal, BlockState, CompositeSpace, GradedSpace,
                      NumericalError, Observable, PureState, _require,
                      coherent_state, opt_phase_state, tensor, uniform_state)
 
@@ -383,23 +383,24 @@ def ozawa_bound(observable: Observable, apparatus: GradedSpace,
     return float(num / denom)
 
 
-def noise_of_model(unitary, observable_full, pointer: np.ndarray,
+def noise_of_model(unitary: BlockDiagonal, observable_full, pointer: np.ndarray,
                    input_state: np.ndarray) -> float:
-    """Mean squared noise <(V' Z V - L)^2> of a premeasurement model, as (V'Z)V.
+    """Mean squared noise <(V' Z V - L)^2> of a premeasurement model.
 
-    All operators live on the composite space (same basis as the unitary).
-    The pointer Z is diagonal there and is given as its diagonal ``pointer``,
-    the outcome values (the measured eigenvalue on each success outcome, zero
-    on failure).  Accepts wrapped (ConservingUnitary / Observable) or plain
-    matrices.
+    All operators live on the composite space of the block unitary V.  The
+    pointer Z is diagonal there and is given as its diagonal ``pointer``, the
+    outcome values (the measured eigenvalue on each success outcome, zero on
+    failure).  V' Z V is formed per sector stack as (V_k' z_k) V_k.
     """
-    v = np.asarray(getattr(unitary, "matrix", unitary), dtype=complex)
-    l_full = np.asarray(getattr(observable_full, "matrix", observable_full),
-                        dtype=complex)
+    l_full = np.asarray(getattr(observable_full, "matrix", observable_full), dtype=complex)
     rho = np.asarray(input_state, dtype=complex)
     z = np.asarray(pointer)
-    if not v.shape == l_full.shape == rho.shape == z.shape * 2:
+    if not (unitary.space.total_dim,) * 2 == l_full.shape == rho.shape == z.shape * 2:
         raise ValueError("operator dimensions do not match")
-    noise_op = (v.conj().T * z) @ v - l_full
+    noise_op = -l_full
+    for k, (_, idx) in unitary.space.groups.items():
+        v = unitary.stacks[k]
+        noise_op[idx[:, :, None], idx[:, None, :]] += (v.conj().swapaxes(1, 2)
+                                                       * z[idx][:, None, :]) @ v
     val = np.real(np.trace(noise_op @ noise_op @ rho))
     return float(max(val, 0.0))

@@ -392,6 +392,52 @@ def dense_circuit_reference(model, system_rho, prob_cutoff: float = 1e-14):
             "yanase": _commutator_norm(z_app, n_a)}
 
 
+def composite_readout_reference(model, system_rho):
+    """The dense composite-basis readout and noise, pinned to the bits the CLI prints.
+
+    The outcomes come from a d x d outcome mask and an ``ix_`` permutation back
+    to the Kronecker layout, and the noise from the dense ``(V^dagger * z) @ V``.
+    Returns a dict with ``outcomes`` (label -> (probability, reduced system
+    state or None)) and ``noise``.
+    """
+    from waylab.circuits import (PLUS_MINUS_OBSERVABLE, PROB_CUTOFF, _pointer_diagonal)
+
+    v = model.unitary
+    evolved = (v @ (v @ model.initial_density_full(system_rho)).conj().T).conj().T
+
+    comp = model.composite
+    inv = np.argsort(comp.kron_index)
+    dims = comp.wire_dims
+    sys_i = model.system_wire
+    ds = dims[sys_i]
+    out = {}
+    for label, mask in model.pointer.items():
+        keep = mask[comp.kron_index % mask.size]
+        selected = evolved * np.outer(keep, keep)
+        prob = float(np.real(np.trace(selected)))
+        if prob <= PROB_CUTOFF:
+            out[label] = (max(prob, 0.0), None)
+            continue
+        kron_rho = selected[np.ix_(inv, inv)].reshape(*dims, *dims)
+        # trace out every wire but the system
+        keep_src = list(range(len(dims)))
+        keep_dst = [i + len(dims) for i in keep_src]
+        subs_in = keep_src + keep_dst
+        for i in range(len(dims)):
+            if i != sys_i:
+                subs_in[len(dims) + i] = i
+        reduced = np.einsum(kron_rho, subs_in, [sys_i, len(dims) + sys_i])
+        out[label] = (prob, reduced.reshape(ds, ds) / prob)
+
+    v = np.asarray(model.unitary.matrix, dtype=complex)
+    l_full = np.asarray(model.system_operator_full(PLUS_MINUS_OBSERVABLE), dtype=complex)
+    rho = np.asarray(model.initial_density_full(system_rho), dtype=complex)
+    z = np.asarray(_pointer_diagonal(model.composite, model.pointer))
+    noise_op = (v.conj().T * z) @ v - l_full
+    val = np.real(np.trace(noise_op @ noise_op @ rho))
+    return {"outcomes": out, "noise": float(max(val, 0.0))}
+
+
 # ---------------------------------------------------------------------------
 # discrimination
 # ---------------------------------------------------------------------------

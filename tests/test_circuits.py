@@ -1,3 +1,4 @@
+import functools
 import math
 import signal
 import tracemalloc
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_pure, random_unitary
-from oracles import (dense_circuit_reference, dense_kron_unitary,
-                     outer_product_projectors)
+from oracles import (composite_readout_reference, dense_circuit_reference,
+                     dense_kron_unitary, outer_product_projectors)
 from waylab.circuits import (CompositeSpace, ConservingUnitary,
                              build_mle_unitary, build_repeatable_variant,
                              build_ud_unitary, model_manifest,
@@ -105,6 +106,75 @@ class TestDenseReference:
                 assert (post is None) == (ref_post is None)
                 if post is not None:
                     np.testing.assert_allclose(post, ref_post, rtol=0, atol=1e-12)
+
+
+_seeded = np.random.default_rng(13)
+PINNED_INPUTS = {"e+": E_PLUS, "e-": E_MINUS, "0": np.array([1.0, 0.0]),
+                 "1": np.array([0.0, 1.0]), "seeded-a": random_pure(_seeded, 2),
+                 "seeded-b": random_pure(_seeded, 2)}
+# cases whose printed bytes are round-off: an outcome of probability ~1e-34
+# (the recorded `circuit` digests) or an mle noise of exact value 0 that prints ~1e-16
+ROUNDOFF = {("ud", 6, "e+"): "circuit/5", ("repeatable", 4, "e-"): "circuit/7",
+            ("ud", 6, "e-"): "circuit/10", ("repeatable", 1, "e+"): "circuit/11",
+            **{("mle", m, "e+"): "zero-noise" for m in (2, 4, 5, 8, 24)}}
+
+
+def pinned_cases():
+    for kind in KINDS:
+        for m in (*range(1, 7), 8, 12, 24):
+            for name in PINNED_INPUTS:
+                tag = ROUNDOFF.get((kind, m, name))
+                yield pytest.param(kind, m, name, tag,
+                                   id=f"{kind}-{m}-{name}" + (f"-{tag}" if tag else ""))
+
+
+@functools.lru_cache(maxsize=None)
+def built(kind, m):
+    return KINDS[kind](m)
+
+
+class TestPinnedReadout:
+    """The sector readout and noise keep every bit of the dense composite-basis forms."""
+
+    @pytest.mark.parametrize("kind, m, name, tag", pinned_cases())
+    def test_bits_match_the_dense_readout(self, kind, m, name, tag):
+        model = built(kind, m)
+        rho = rho_of(PINNED_INPUTS[name])
+        ref = composite_readout_reference(model, rho)
+        got = simulate_measurement(model, rho)
+        assert list(got) == list(ref["outcomes"])
+        for label, (prob, post) in got.items():
+            ref_prob, ref_post = ref["outcomes"][label]
+            assert prob.hex() == ref_prob.hex()
+            assert (post is None) == (ref_post is None)
+            if post is not None:
+                assert post.tobytes() == ref_post.tobytes()
+        noise = model.noise(rho)
+        assert noise.hex() == ref["noise"].hex()  # == with the sign of a zero
+        if tag == "zero-noise":
+            assert 0.0 < noise < 1e-15
+        elif tag:
+            assert any(0.0 < p < 1e-30 for p, _ in got.values())
+
+
+@pytest.mark.parametrize("builder", ALL_BUILDERS)
+@pytest.mark.parametrize("run, bound", [
+    (lambda model, rho: model.noise(rho), 5.1),
+    (lambda model, rho: simulate_measurement(model, rho), 4.6),
+], ids=["noise", "simulate_measurement"])
+def test_traced_peak_within_dense_matrices(builder, run, bound):
+    # the peak in units of one dense complex d x d matrix, 16 d^2 bytes
+    model = builder(20)
+    rho = rho_of(np.array([1.0, 1.0j]) / math.sqrt(2.0))
+    run(model, rho)  # cached indices are built before the trace
+    tracemalloc.start()
+    try:
+        run(model, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    d = model.composite.space.total_dim
+    assert peak <= bound * 16 * d * d
 
 
 class TestSectorBlocks:

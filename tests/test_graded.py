@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 from conftest import random_density, random_pure
 from oracles import (coherent_amplitudes_resumming, composite_order,
                      opt_phase_norm_squared_inverse)
-from waylab.graded import (EPS_NUM, BlockState, CompositeSpace, GradedSpace,
-                           NumericalError, Observable, PureState, coherent_state,
-                           expectation, g_twirl, number_operator, opt_phase_state,
-                           phase_rotation, sector_projector, tensor,
+from waylab.graded import (EPS_NUM, BlockDiagonal, BlockState, CompositeSpace,
+                           GradedSpace, NumericalError, Observable, PureState,
+                           coherent_state, expectation, g_twirl, number_operator,
+                           opt_phase_state, phase_rotation, sector_projector, tensor,
                            uniform_state, variance)
 from waylab import serialize
 from waylab.circuits import ConservingUnitary
@@ -432,6 +433,25 @@ def test_constructors_leave_the_callers_array_alone(build, held, array):
     array[...] = 7.0
     assert held(obj).tobytes() == before.tobytes()
     assert not held(obj).flags.writeable
+
+
+def test_a_real_stack_is_copied_once():
+    # the complex cast is the one copy, frozen as it is; a cast followed by a
+    # frozen copy would peak at twice the complex stack's bytes
+    space = GradedSpace(tuple(range(1000)), (32,) * 1000)
+    assert space.groups  # built before the trace
+    real = np.random.default_rng(5).normal(size=(1000, 32, 32))
+    before = real.copy()
+    tracemalloc.start()
+    try:
+        stacks = BlockDiagonal(space, {32: real}).stacks
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stacks[32].nbytes + real.nbytes
+    assert stacks[32].flags.c_contiguous and not stacks[32].flags.writeable
+    assert stacks[32].tobytes() == before.astype(complex).tobytes()
+    assert real.flags.writeable and real.tobytes() == before.tobytes()
 
 
 class TestBlockState:

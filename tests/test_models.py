@@ -8,9 +8,9 @@ import pytest
 from conftest import random_density, random_hermitian, random_pure
 from oracles import coherent_mle_log_series, supports_orthogonal
 from waylab.discrimination import Criterion, perfect_discrimination_possible
-from waylab.graded import (GradedSpace, NumericalError, Observable, PureState,
-                           coherent_state, expectation, g_twirl, number_operator,
-                           tensor, uniform_state)
+from waylab.graded import (BlockDiagonal, GradedSpace, NumericalError, Observable,
+                           PureState, coherent_state, expectation, g_twirl,
+                           number_operator, tensor, uniform_state)
 from waylab.models import (ModelReport, Verdict, WayScenario, coherent_mle_success,
                            coherent_model, coherent_ud_success,
                            coherent_ud_success_smooth, noise_of_model,
@@ -344,6 +344,11 @@ class TestOzawaBound:
             ozawa_bound(obs, QUBIT, joint.astype(complex))
 
 
+def one_sector(unitary):
+    """A 4x4 unitary as a ``BlockDiagonal`` over one charge sector of dimension 4."""
+    return BlockDiagonal(GradedSpace((0,), (4,)), {4: np.asarray(unitary)[None]})
+
+
 class TestNoiseOfModel:
     def test_perfect_commuting_model_zero_noise(self):
         # swap readout of a diagonal observable: V+ (I x Z) V = L x I exactly
@@ -356,7 +361,7 @@ class TestNoiseOfModel:
         l_full = np.kron(l_mat, np.eye(dim))
         z = np.kron(np.ones(dim), np.diag(l_mat))  # the diagonal of I x L
         rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
-        assert noise_of_model(swap, l_full, z, rho) == pytest.approx(0.0, abs=1e-12)
+        assert noise_of_model(one_sector(swap), l_full, z, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_uninformative_model_noise_is_variance(self):
         # identity dynamics with a null pointer: noise^2 = <L^2>, which equals
@@ -364,7 +369,7 @@ class TestNoiseOfModel:
         l_mat = np.array([[0.0, 1.0], [1.0, 0.0]])
         l_full = np.kron(l_mat, np.eye(2))
         rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
-        noise = noise_of_model(np.eye(4), l_full, np.zeros(4), rho)
+        noise = noise_of_model(one_sector(np.eye(4)), l_full, np.zeros(4), rho)
         var_l = 1.0
         assert noise == pytest.approx(var_l, abs=1e-12)
 
@@ -373,7 +378,7 @@ class TestNoiseOfModel:
         l_full = np.kron(np.diag([0.5, -1.5]), np.eye(2))
         rho = np.eye(4) / 4
         with pytest.raises(ValueError, match="dimensions do not match"):
-            noise_of_model(np.eye(4), l_full, np.eye(4), rho)
+            noise_of_model(one_sector(np.eye(4)), l_full, np.eye(4), rho)
 
 
 class TestReferenceCurves:
