@@ -3,9 +3,8 @@ discrimination, and explicit conserving readout circuits."""
 
 from .graded import (EPS_NUM, BlockDiagonal, BlockState, CompositeSpace,
                      GradedSpace, NumericalError, Observable, PureState,
-                     coherent_state, expectation, g_twirl, number_operator,
-                     opt_phase_state, phase_rotation, sector_projector, tensor,
-                     uniform_state, variance)
+                     coherent_state, g_twirl, opt_phase_state, tensor,
+                     uniform_state)
 from .convert import (ChargeDistribution, Comparison, ConversionCertificate,
                       charge_distribution, compare, deterministic_convertible,
                       frameness_entropy, stochastic_reachable_from_uniform,

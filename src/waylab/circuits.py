@@ -132,11 +132,17 @@ class MeasurementModel:
         """The composite of every wire but the system, in wire order; built once."""
         return CompositeSpace.of([self.composite.wires[i] for i in self.apparatus_wires()])
 
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        """(ds, da) composite index of |s, a>: system index s, apparatus Kronecker index a."""
+        pos = np.argsort(self.composite.kron_index).reshape(self.composite.wire_dims)
+        return np.moveaxis(pos, self.system_wire, 0).reshape(self.system_space.total_dim, -1)
+
     def system_operator_full(self, op: np.ndarray) -> np.ndarray:
-        """Promote a system-wire operator to the composite graded basis."""
-        return self.composite.promote(*(
-            np.asarray(op, dtype=complex) if i == self.system_wire else np.eye(d)
-            for i, d in enumerate(self.composite.wire_dims)))
+        """A system-wire operator times the apparatus identity, in the composite graded basis."""
+        pos, out = self.positions, np.zeros((self.composite.space.total_dim,) * 2, dtype=complex)
+        out[pos[:, None], pos[None]] = np.asarray(op, dtype=complex)[..., None]
+        return out
 
     def initial_density_full(self, system_rho: np.ndarray) -> np.ndarray:
         """rho_system (x) apparatus-init, in the composite graded basis."""
@@ -309,13 +315,7 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
     # the evolved state is b^dagger: two stacked products per sector dimension, on the
     # operands the dense readout used, so that every printed bit is kept
     b = v @ np.conjugate((v @ model.initial_density_full(system_state)).T, order="C")
-    comp = model.composite
-    dims = comp.wire_dims
-    ds = dims[model.system_wire]
-    pos = np.empty_like(comp.kron_index)
-    pos[comp.kron_index] = np.arange(pos.size)
-    # composite index of |s, a>: system index s, apparatus Kronecker index a
-    pos = np.moveaxis(pos.reshape(dims), model.system_wire, 0).reshape(ds, -1)
+    comp, pos = model.composite, model.positions
     diag = np.conj(np.diagonal(b))
     coherences = np.conj(b[pos[None, :, :], pos[:, None, :]])  # <s,a| . |s',a> at [s, s', a]
     out: dict[str, tuple[float, np.ndarray | None]] = {}

@@ -85,9 +85,6 @@ class ChargeDistribution:
                 v[n - lo] = p
         return v
 
-    def shifted(self, k: int) -> "ChargeDistribution":
-        return ChargeDistribution({n + k: p for n, p in self.probs.items()})
-
 
 @dataclass(frozen=True)
 class ConversionCertificate:

@@ -47,12 +47,7 @@ __all__ = [
     "BlockState",
     "CompositeSpace",
     "tensor",
-    "number_operator",
-    "sector_projector",
-    "phase_rotation",
     "g_twirl",
-    "expectation",
-    "variance",
     "uniform_state",
     "coherent_state",
     "opt_phase_state",
@@ -97,10 +92,6 @@ class GradedSpace:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    @property
-    def sector_dims(self) -> dict[int, int]:
-        return dict(zip(self.charges, self.dims))
-
     @functools.cached_property
     def _sectors(self) -> dict[int, tuple[int, int]]:
         """charge -> (offset, dim), built once so that sector lookups are O(1)."""
@@ -124,9 +115,6 @@ class GradedSpace:
     def dim_of(self, n: int) -> int:
         return self._sector(n)[1]
 
-    def offset_of(self, n: int) -> int:
-        return self._sector(n)[0]
-
     def slice_of(self, n: int) -> slice:
         off, d = self._sector(n)
         return slice(off, off + d)
@@ -134,14 +122,6 @@ class GradedSpace:
     def charge_labels(self) -> np.ndarray:
         """Charge of every basis vector, in basis order."""
         return _freeze(np.repeat(self.charges, self.dims).astype(np.int64))
-
-    def basis_vector(self, n: int, k: int = 0) -> np.ndarray:
-        """The k-th basis vector of sector n, as a dense complex vector."""
-        if not 0 <= k < self.dim_of(n):
-            raise ValueError(f"sector {n} has no basis index {k}")
-        v = np.zeros(self.total_dim, dtype=complex)
-        v[self.offset_of(n) + k] = 1.0
-        return v
 
     @staticmethod
     def qubit() -> "GradedSpace":
@@ -153,10 +133,6 @@ class GradedSpace:
         if max_charge < 0:
             raise ValueError("max_charge must be >= 0")
         return GradedSpace(tuple(range(max_charge + 1)), (1,) * (max_charge + 1))
-
-    @staticmethod
-    def trivial() -> "GradedSpace":
-        return GradedSpace((0,), (1,))
 
     @staticmethod
     def from_charge_list(labels) -> "GradedSpace":
@@ -179,7 +155,8 @@ class PureState:
         amps = _freeze(self.amplitudes, complex)
         if amps.shape != (self.space.total_dim,):
             raise ValueError("amplitude vector does not match space dimension")
-        _require(abs(np.linalg.norm(amps) - 1.0), EPS_NUM,
+        # the squared norm, which the twirl's blocks sum to, not the norm
+        _require(abs(np.vdot(amps, amps).real - 1.0), EPS_NUM,
                  "state is not normalized within tolerance")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -350,10 +327,6 @@ class CompositeSpace:
     def wire_dims(self) -> tuple[int, ...]:
         return tuple(w.total_dim for w in self.wires)
 
-    def factor_indices(self) -> tuple[np.ndarray, ...]:
-        """Per wire, the wire basis index of every composite basis vector."""
-        return np.unravel_index(self.kron_index, self.wire_dims)
-
     def vector(self, kron_vec: np.ndarray) -> np.ndarray:
         return np.asarray(kron_vec, dtype=complex)[self.kron_index]
 
@@ -396,25 +369,6 @@ def tensor(a: GradedSpace, b: GradedSpace) -> CompositeSpace:
     return CompositeSpace.of((a, b))
 
 
-def number_operator(space: GradedSpace) -> Observable:
-    """Diagonal observable assigning its sector charge to every basis vector."""
-    return Observable(space, np.diag(space.charge_labels().astype(float)))
-
-
-def sector_projector(space: GradedSpace, n: int) -> Observable:
-    """Orthogonal projector onto the charge-n sector."""
-    d = space.total_dim
-    m = np.zeros((d, d))
-    s = space.slice_of(n)  # raises for unknown charge
-    m[s, s] = np.eye(space.dim_of(n))
-    return Observable(space, m)
-
-
-def phase_rotation(space: GradedSpace, theta: float) -> np.ndarray:
-    """The U(1) representation U(theta) = exp(i theta N) as a dense matrix."""
-    return np.diag(np.exp(1j * theta * space.charge_labels()))
-
-
 def g_twirl(rho: np.ndarray, space: GradedSpace) -> BlockState:
     """Average a state over the U(1) group action.
 
@@ -426,31 +380,6 @@ def g_twirl(rho: np.ndarray, space: GradedSpace) -> BlockState:
     rho = _check_density(rho, space.total_dim)
     return BlockState(space, {k: rho[idx[:, :, None], idx[:, None, :]]
                               for k, (_, idx) in space.groups.items()})
-
-
-def expectation(obs: Observable, state) -> float:
-    """<X> in a pure state, density matrix or block state."""
-    if isinstance(state, BlockState):
-        if state.space.total_dim != obs.space.total_dim:
-            raise ValueError("state dimension does not match observable")
-        return math.fsum(t for k, (_, idx) in state.space.groups.items() for t in _trace(
-            obs.matrix[idx[:, :, None], idx[:, None, :]] @ state.stacks[k]).tolist())
-    mat = state.amplitudes if isinstance(state, PureState) \
-        else np.asarray(state, dtype=complex)
-    if mat.ndim == 1:
-        if mat.shape != (obs.space.total_dim,):
-            raise ValueError("state dimension does not match observable")
-        return float(np.real(np.vdot(mat, obs.matrix @ mat)))
-    if mat.shape != obs.matrix.shape:
-        raise ValueError("state dimension does not match observable")
-    return float(np.real(np.trace(obs.matrix @ mat)))
-
-
-def variance(obs: Observable, state) -> float:
-    """<X^2> - <X>^2; clipped at zero against roundoff."""
-    sq = Observable(obs.space, obs.matrix @ obs.matrix)
-    v = expectation(sq, state) - expectation(obs, state) ** 2
-    return max(v, 0.0)
 
 
 def uniform_state(max_charge: int) -> PureState:

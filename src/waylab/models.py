@@ -383,7 +383,7 @@ def ozawa_bound(observable: Observable, apparatus: GradedSpace,
     return float(num / denom)
 
 
-def noise_of_model(unitary: BlockDiagonal, observable_full, pointer: np.ndarray,
+def noise_of_model(unitary: BlockDiagonal, observable_full: np.ndarray, pointer: np.ndarray,
                    input_state: np.ndarray) -> float:
     """Mean squared noise <(V' Z V - L)^2> of a premeasurement model.
 
@@ -392,7 +392,7 @@ def noise_of_model(unitary: BlockDiagonal, observable_full, pointer: np.ndarray,
     outcome values (the measured eigenvalue on each success outcome, zero on
     failure).  V' Z V is formed per sector stack as (V_k' z_k) V_k.
     """
-    l_full = np.asarray(getattr(observable_full, "matrix", observable_full), dtype=complex)
+    l_full = np.asarray(observable_full, dtype=complex)
     rho = np.asarray(input_state, dtype=complex)
     z = np.asarray(pointer)
     if not (unitary.space.total_dim,) * 2 == l_full.shape == rho.shape == z.shape * 2:

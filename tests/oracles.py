@@ -1,5 +1,6 @@
 """Independent brute-force oracles shared between module tests and acceptance."""
 
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -18,24 +19,28 @@ def convolution_quotient(p: dict[int, Fraction], q: dict[int, Fraction]):
     solving w is the (unique) Laurent-polynomial quotient p/q.  Returns the
     quotient as {shift: Fraction} when q divides p exactly, else None.
     Exhaustive in the strict sense: every real solution equals this quotient.
+    The division runs on integers: p and q over a common denominator, and p
+    scaled by lead(q)^(deg+1) so that every quotient coefficient is whole.
     """
     pmin, pmax = min(p), max(p)
     qmin, qmax = min(q), max(q)
-    pc = [Fraction(p.get(n, 0)) for n in range(pmin, pmax + 1)]
-    qc = [Fraction(q.get(n, 0)) for n in range(qmin, qmax + 1)]
-    deg = len(pc) - len(qc)
+    deg = (pmax - pmin) - (qmax - qmin)
     if deg < 0:
         return None
-    rem = list(pc)
-    quot = [Fraction(0)] * (deg + 1)
+    den = math.lcm(*(c.denominator for c in (*p.values(), *q.values())))
+    qc = [q[n].numerator * (den // q[n].denominator) if n in q else 0
+          for n in range(qmin, qmax + 1)]
+    scale = qc[-1] ** (deg + 1)
+    rem = [p[n].numerator * (den // p[n].denominator) * scale if n in p else 0
+           for n in range(pmin, pmax + 1)]
+    quot = [0] * (deg + 1)
     for d in range(deg, -1, -1):
-        coef = rem[len(qc) - 1 + d] / qc[-1]
-        quot[d] = coef
+        quot[d] = rem[len(qc) - 1 + d] // qc[-1]  # exact: see the docstring
         for i, qq in enumerate(qc):
-            rem[i + d] -= coef * qq
-    if any(r != 0 for r in rem):
+            rem[i + d] -= quot[d] * qq
+    if any(rem):
         return None
-    return {d + pmin - qmin: c for d, c in enumerate(quot)}
+    return {d + pmin - qmin: Fraction(c, scale) for d, c in enumerate(quot)}
 
 
 def convertible_exact(p: dict[int, Fraction], q: dict[int, Fraction]) -> bool:
@@ -70,9 +75,25 @@ def simplex_grid_witness(p: dict[int, float], q: dict[int, float],
     pv = np.zeros(hi - lo + 1)
     for n, prob in p.items():
         pv[n - lo] = prob
-    grid = np.array(list(_compositions(resolution, nk)), dtype=float) / resolution
-    residuals = np.abs(grid @ a.T - pv).sum(axis=1)
+    residuals = np.abs(_simplex_grid(resolution, nk) @ a.T - pv).sum(axis=1)
     return bool(residuals.min() <= atol)
+
+
+@functools.cache
+def _simplex_grid(resolution: int, parts: int) -> np.ndarray:
+    """Every weight vector of ``parts`` entries on the 1/resolution simplex grid."""
+    grid = np.array(list(_compositions(resolution, parts)), dtype=float) / resolution
+    grid.setflags(write=False)
+    return grid
+
+
+def dense_number_variance(state) -> float:
+    """Var(N) in a pure state, with N = diag(charge labels) as a dense d x d matrix."""
+    n = np.diag(state.space.charge_labels().astype(float)).astype(complex)
+    amps = state.amplitudes
+    mean = float(np.real(np.vdot(amps, n @ amps)))
+    second = float(np.real(np.vdot(amps, (n @ n) @ amps)))
+    return max(second - mean ** 2, 0.0)
 
 
 def _compositions(total: int, parts: int):
@@ -107,12 +128,13 @@ def ud_grid_search(rho_p, rho_m, priors, points: int = 40001):
     beta = float(np.real(chi_m.conj() @ rho_m @ chi_m))
 
     def psd(a, b):
-        fail = (np.eye(2)[None] - a[..., None, None] * kp[None]
-                - b[..., None, None] * km[None])
-        tr = np.real(fail[..., 0, 0] + fail[..., 1, 1])
-        det = np.real(fail[..., 0, 0] * fail[..., 1, 1]
-                      - fail[..., 0, 1] * fail[..., 1, 0])
-        return (tr >= -1e-14) & (det >= -1e-14)
+        # the entries of 1 - a K+ - b K-, in real arrays: its diagonal is real and
+        # its off-diagonal pair is conjugate, so det = f00 f11 - |f01|^2
+        f00 = 1.0 - a * kp[0, 0].real - b * km[0, 0].real
+        f11 = 1.0 - a * kp[1, 1].real - b * km[1, 1].real
+        f01_re = a * kp[0, 1].real + b * km[0, 1].real
+        f01_im = a * kp[0, 1].imag + b * km[0, 1].imag
+        return (f00 + f11 >= -1e-14) & (f00 * f11 - f01_re ** 2 - f01_im ** 2 >= -1e-14)
 
     av = np.linspace(0.0, 1.0, points)
     av = av[psd(av, np.zeros_like(av))]

@@ -31,8 +31,7 @@ from waylab.circuits import (PLUS_MINUS_OBSERVABLE, POINTER_VALUES,
                              verify_conservation, verify_yanase)
 from waylab.convert import ChargeDistribution, deterministic_convertible
 from waylab.discrimination import Criterion, discriminate
-from waylab.graded import (GradedSpace, Observable, g_twirl, number_operator, tensor,
-                           uniform_state)
+from waylab.graded import GradedSpace, Observable, g_twirl, tensor, uniform_state
 from waylab.models import (Verdict, WayScenario, coherent_mle_success,
                            coherent_ud_success, coherent_ud_success_smooth,
                            coherent_model, opt_phase_model, ozawa_bound,
@@ -346,7 +345,7 @@ def test_criterion8_ozawa_inequality():
             noise_sq = noise_op @ noise_op
             app = model.apparatus
             app_rho = app.pure(*(model.init[i] for i in model.apparatus_wires())).density()
-            app_n = number_operator(app.space).matrix
+            app_n = np.diag(app.space.charge_labels().astype(float))
             var_a = (np.real(np.trace(app_n @ app_n @ app_rho))
                      - np.real(np.trace(app_n @ app_rho)) ** 2)
             # cross-check the precomputed denominator against the public op once

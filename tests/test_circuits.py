@@ -15,8 +15,7 @@ from waylab.circuits import (CompositeSpace, ConservingUnitary,
                              simulate_measurement, unitarity_deviation,
                              verify_conservation, verify_yanase)
 from waylab.discrimination import Criterion, discriminate
-from waylab.graded import (EPS_NUM, BlockDiagonal, GradedSpace, g_twirl,
-                           number_operator, tensor, uniform_state)
+from waylab.graded import EPS_NUM, BlockDiagonal, GradedSpace, g_twirl, tensor, uniform_state
 from waylab.models import twirled_pair_ensemble
 
 E_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -60,7 +59,7 @@ class TestStructuralChecks:
         terms = [(np.outer(e[j], e[i]), np.outer(e[i], e[j]))
                  for i in range(2) for j in range(2)]  # |i,j> -> |j,i>
         v = tm.matrix(sum(np.kron(x, y) for x, y in terms))
-        n = number_operator(tm.space).matrix
+        n = np.diag(tm.space.charge_labels())
         assert np.linalg.norm(v @ n - n @ v, 2) > 0.5
         with pytest.raises(ValueError, match="not unitary"):
             ConservingUnitary(tm.space, tm.lift(*terms))
@@ -397,7 +396,7 @@ class TestEqSevenSectorAction:
             phi_p = np.zeros(rs_tm.space.total_dim, dtype=complex)
             sl = rs_tm.space.slice_of(n)
             # basis inside sector n is (|n-1,1>, |n,0>) - build phi+- explicitly
-            ia, ib = rs_tm.factor_indices()
+            ia, ib = np.unravel_index(rs_tm.kron_index, rs_tm.wire_dims)
             idx = list(range(sl.start, sl.stop))
             vec_n0 = np.zeros(rs_tm.space.total_dim, dtype=complex)
             vec_n11 = np.zeros(rs_tm.space.total_dim, dtype=complex)

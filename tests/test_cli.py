@@ -59,7 +59,7 @@ def eplus_file(tmp_path):
 @pytest.fixture
 def number_state_file(tmp_path):
     sp = GradedSpace.ladder(3)
-    state = PureState(sp, sp.basis_vector(3))
+    state = PureState(sp, np.eye(sp.total_dim)[sp.slice_of(3).start])
     path = tmp_path / "n3.json"
     path.write_text(serialize.dumps(serialize.state_to_json(state)))
     return str(path)

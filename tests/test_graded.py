@@ -13,9 +13,8 @@ from oracles import (coherent_amplitudes_resumming, composite_order,
                      opt_phase_norm_squared_inverse)
 from waylab.graded import (EPS_NUM, BlockDiagonal, BlockState, CompositeSpace,
                            GradedSpace, NumericalError, Observable, PureState,
-                           coherent_state, expectation, g_twirl, number_operator,
-                           opt_phase_state, phase_rotation, sector_projector, tensor,
-                           uniform_state, variance)
+                           coherent_state, g_twirl, opt_phase_state, tensor,
+                           uniform_state)
 from waylab import serialize
 from waylab.circuits import ConservingUnitary
 from waylab.convert import ConversionCertificate
@@ -30,7 +29,7 @@ class TestGradedSpace:
     def test_basic_invariants(self):
         sp = GradedSpace((0, 1, 3), (1, 2, 1))
         assert sp.total_dim == 4
-        assert sp.sector_dims == {0: 1, 1: 2, 3: 1}
+        assert {n: sp.dim_of(n) for n in sp.charges} == {0: 1, 1: 2, 3: 1}
         assert list(sp.charge_labels()) == [0, 1, 1, 3]
         assert sp.slice_of(1) == slice(1, 3)
 
@@ -49,25 +48,26 @@ class TestGradedSpace:
 
     def test_sector_lookups(self):
         sp = GradedSpace((-1, 2, 5), (2, 1, 3))
-        assert [sp.offset_of(n) for n in sp.charges] == [0, 2, 3]
         assert [sp.dim_of(n) for n in sp.charges] == [2, 1, 3]
         assert sp.slice_of(5) == slice(3, 6)
-        for lookup in (sp.dim_of, sp.offset_of, sp.slice_of):
+        for lookup in (sp.dim_of, sp.slice_of):
             with pytest.raises(ValueError, match="charge 0 not present in space"):
                 lookup(0)
 
 
 class TestNumberOperator:
+    """N is read as the label vector ``charge_labels()``, its diagonal."""
+
     def test_qubit(self):
-        assert np.array_equal(number_operator(QUBIT).matrix, np.diag([0.0, 1.0]))
+        assert np.array_equal(np.diag(QUBIT.charge_labels()), np.diag([0.0, 1.0]))
 
     def test_three_level(self):
         sp = GradedSpace.ladder(2)
-        assert np.array_equal(number_operator(sp).matrix, np.diag([0.0, 1.0, 2.0]))
+        assert np.array_equal(np.diag(sp.charge_labels()), np.diag([0.0, 1.0, 2.0]))
 
     def test_tensor_of_qubits_additive(self):
         tm = tensor(QUBIT, QUBIT)
-        assert np.array_equal(number_operator(tm.space).matrix,
+        assert np.array_equal(np.diag(tm.space.charge_labels()),
                               np.diag([0.0, 1.0, 1.0, 2.0]))
 
 
@@ -85,7 +85,7 @@ class TestTensor:
 
     def test_trivial_identity(self):
         sp = GradedSpace((0, 2), (2, 1))
-        tm = tensor(sp, GradedSpace.trivial())
+        tm = tensor(sp, GradedSpace.ladder(0))
         assert tm.space.charges == sp.charges
         assert tm.space.dims == sp.dims
         assert np.array_equal(tm.kron_index, np.arange(sp.total_dim))
@@ -95,7 +95,7 @@ class TestTensor:
         b = GradedSpace((0, 3), (1, 2))
         tm = tensor(a, b)
         la, lb = a.charge_labels(), b.charge_labels()
-        ia, ib = tm.factor_indices()
+        ia, ib = np.unravel_index(tm.kron_index, tm.wire_dims)
         assert np.array_equal(tm.space.charge_labels(), la[ia] + lb[ib])
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=4),
@@ -105,7 +105,7 @@ class TestTensor:
         a, b = GradedSpace.from_charge_list(ca), GradedSpace.from_charge_list(cb)
         tm = tensor(a, b)
         la, lb = a.charge_labels(), b.charge_labels()
-        ia, ib = tm.factor_indices()
+        ia, ib = np.unravel_index(tm.kron_index, tm.wire_dims)
         assert np.array_equal(tm.space.charge_labels(), la[ia] + lb[ib])
         assert tm.space.total_dim == a.total_dim * b.total_dim
 
@@ -131,24 +131,33 @@ class TestTensor:
         assert np.allclose(left, right)
 
 
+def _projector(space, n):
+    """P_n as a dense matrix, from the sector's slice."""
+    p = np.zeros((space.total_dim,) * 2)
+    p[space.slice_of(n), space.slice_of(n)] = np.eye(space.dim_of(n))
+    return p
+
+
 class TestSectorProjector:
+    """P_n is read as the basis slice ``slice_of(n)``."""
+
     def test_qubit_projectors(self):
-        assert np.array_equal(sector_projector(QUBIT, 0).matrix, np.diag([1.0, 0.0]))
-        assert np.array_equal(sector_projector(QUBIT, 1).matrix, np.diag([0.0, 1.0]))
+        assert np.array_equal(_projector(QUBIT, 0), np.diag([1.0, 0.0]))
+        assert np.array_equal(_projector(QUBIT, 1), np.diag([0.0, 1.0]))
 
     def test_rank_two_sector(self):
         tm = tensor(QUBIT, QUBIT)
-        p1 = sector_projector(tm.space, 1).matrix
+        p1 = _projector(tm.space, 1)
         assert np.trace(p1).real == 2.0
         assert np.allclose(p1 @ p1, p1)
 
     def test_unknown_charge_rejected(self):
         with pytest.raises(ValueError):
-            sector_projector(QUBIT, 7)
+            QUBIT.slice_of(7)
 
     def test_complete_and_orthogonal(self):
         sp = GradedSpace((0, 1, 2), (2, 3, 1))
-        projs = [sector_projector(sp, n).matrix for n in sp.charges]
+        projs = [_projector(sp, n) for n in sp.charges]
         assert np.allclose(sum(projs), np.eye(sp.total_dim))
         for i, p in enumerate(projs):
             for j, q in enumerate(projs):
@@ -227,7 +236,7 @@ class TestGTwirl:
     def test_invariant_under_group_action(self, rng, theta):
         sp = GradedSpace((0, 1, 3), (1, 2, 2))
         rho = random_density(rng, sp.total_dim)
-        u = phase_rotation(sp, theta)
+        u = np.diag(np.exp(1j * theta * sp.charge_labels()))
         direct = g_twirl(rho, sp)
         rotated = g_twirl(u @ rho @ u.conj().T, sp)
         for n in sp.charges:
@@ -239,7 +248,7 @@ class TestGTwirl:
         bs = g_twirl(rho, sp)
         dense = bs.to_dense()
         for n in sp.charges:
-            p = sector_projector(sp, n).matrix
+            p = _projector(sp, n)
             assert np.allclose(p @ dense @ p, dense * 0 + _embed(sp, n, bs.block(n)))
 
     def test_rejects_invalid_density(self):
@@ -255,41 +264,14 @@ def _embed(space, n, block):
     return out
 
 
-class TestExpectationVariance:
-    def test_plus_state(self):
-        st_ = PureState(QUBIT, E_PLUS)
-        nop = number_operator(QUBIT)
-        assert expectation(nop, st_) == pytest.approx(0.5)
-        assert variance(nop, st_) == pytest.approx(0.25)
-
-    def test_number_eigenstate(self):
-        sp = GradedSpace.ladder(5)
-        st_ = PureState(sp, sp.basis_vector(3))
-        nop = number_operator(sp)
-        assert expectation(nop, st_) == pytest.approx(3.0)
-        assert variance(nop, st_) == pytest.approx(0.0, abs=1e-12)
-
+class TestStates:
     def test_coherent_mean_matches_alpha_squared(self):
         alpha, tail = 1.3, 1e-12
         st_ = coherent_state(alpha, tail)
         cutoff = st_.space.charges[-1]
-        nop = number_operator(st_.space)
-        assert abs(expectation(nop, st_) - alpha ** 2) < 10 * tail * cutoff
+        mean = st_.space.charge_labels() @ np.abs(st_.amplitudes) ** 2
+        assert abs(mean - alpha ** 2) < 10 * tail * cutoff
 
-    def test_block_state_input(self, rng):
-        sp = GradedSpace((0, 1), (2, 2))
-        rho = random_density(rng, 4)
-        bs = g_twirl(rho, sp)
-        nop = number_operator(sp)
-        assert expectation(nop, bs) == pytest.approx(expectation(nop, bs.to_dense()))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expectation(number_operator(QUBIT), PureState(GradedSpace.ladder(2),
-                                                          [0, 0, 1.0]))
-
-
-class TestStates:
     def test_uniform_trivial(self):
         assert np.allclose(uniform_state(0).amplitudes, [1.0])
 
@@ -390,10 +372,17 @@ class TestStates:
         assert printed == pytest.approx((m + 2) / 2.0, abs=1e-10)
 
     def test_pure_state_norm_enforced(self):
-        # the message names how far the check was from its tolerance
+        # the message names how far <psi|psi> was from one, and the tolerance
         with pytest.raises(ValueError, match=r"^state is not normalized within tolerance: "
-                                             r"0\.414 exceeds tolerance 1e-10$"):
+                                             r"1 exceeds tolerance 1e-10$"):
             PureState(QUBIT, [1.0, 1.0])
+
+    def test_pure_state_that_constructs_twirls(self):
+        # the check is on <psi|psi>, the trace that the twirl's blocks sum to
+        with pytest.raises(ValueError, match="^state is not normalized within tolerance"):
+            PureState(QUBIT, E_PLUS * (1 + 0.9e-10))
+        twirled = PureState(QUBIT, E_PLUS * (1 + 4e-11)).twirl()
+        assert twirled.sector_weight(0) == pytest.approx(0.5)
 
     def test_observable_hermiticity_enforced(self):
         with pytest.raises(ValueError):

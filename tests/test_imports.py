@@ -308,3 +308,26 @@ def test_benchmark_trace_hooks_resolve():
         if not callable(getattr(fn, "__func__", fn)):
             missing.append(f"{key}: {module}.{path} is not callable")
     assert missing == []
+
+
+def test_readme_library_tour_runs():
+    # the docs must not name a function that is gone
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md (library tour)", "exec"), {"__name__": "readme_tour"})
+
+
+def test_all_names_exist_and_the_package_reexports_only_listed_names():
+    package = ROOT / "src" / "waylab"
+    missing = [f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+               if path.stem not in ("__init__", "__main__")
+               for module in [importlib.import_module(f"waylab.{path.stem}")]
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    unlisted = [f"{node.module}.{alias.name}"
+                for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if alias.name not in getattr(importlib.import_module(f"waylab.{node.module}"),
+                                             "__all__", ())]
+    assert missing == []
+    assert unlisted == []
