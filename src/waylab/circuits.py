@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import (EPS_NUM, BlockDiagonal, CompositeSpace, GradedSpace, Observable,
-                     _check_density, _require, uniform_state)
+from .graded import (EPS_NUM, BlockDiagonal, CompositeSpace, GradedSpace, NumericalError,
+                     Observable, _check_density, _require, uniform_state)
 from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
@@ -51,19 +51,6 @@ def unitarity_deviation(unitary: BlockDiagonal) -> float:
                          for k, s in unitary.stacks.items()]))
 
 
-def _pointer_diagonal(composite: CompositeSpace, pointer: dict[str, np.ndarray]) -> np.ndarray:
-    """The pointer observable, valued by :data:`POINTER_VALUES`, as a composite-basis diagonal.
-
-    The trailing wires of ``composite`` must be the register bank the pointer
-    masks live on, so the register index is the Kronecker index modulo the
-    bank dimension.
-    """
-    zreg = np.zeros(len(next(iter(pointer.values()))))
-    for label, mask in pointer.items():
-        zreg += POINTER_VALUES.get(label, 0.0) * mask
-    return zreg[composite.kron_index % zreg.size]
-
-
 class ConservingUnitary(BlockDiagonal):
     """Unitary on ``space``, held as its total-charge blocks.
 
@@ -73,7 +60,8 @@ class ConservingUnitary(BlockDiagonal):
 
     def __post_init__(self):
         super().__post_init__()
-        _require(unitarity_deviation(self), EPS_NUM, "matrix is not unitary within tolerance")
+        _require(unitarity_deviation(self), EPS_NUM, "matrix is not unitary within tolerance",
+                 NumericalError)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -133,6 +121,12 @@ class MeasurementModel:
         return CompositeSpace.of([self.composite.wires[i] for i in self.apparatus_wires()])
 
     @functools.cached_property
+    def outcome_masks(self) -> dict[str, np.ndarray]:
+        """Each outcome's pointer mask on the composite basis; gathered once."""
+        register = self.composite.kron_index % (1 << self.register_count)
+        return {label: mask[register] for label, mask in self.pointer.items()}
+
+    @functools.cached_property
     def positions(self) -> np.ndarray:
         """(ds, da) composite index of |s, a>: system index s, apparatus Kronecker index a."""
         pos = np.argsort(self.composite.kron_index).reshape(self.composite.wire_dims)
@@ -153,9 +147,9 @@ class MeasurementModel:
 
     def noise(self, system_rho: np.ndarray) -> float:
         """Mean squared measurement noise of this model on a system input."""
-        return noise_of_model(self.unitary,
-                              self.system_operator_full(PLUS_MINUS_OBSERVABLE),
-                              _pointer_diagonal(self.composite, self.pointer),
+        z = sum(POINTER_VALUES.get(label, 0.0) * keep
+                for label, keep in self.outcome_masks.items())
+        return noise_of_model(self.unitary, self.system_operator_full(PLUS_MINUS_OBSERVABLE), z,
                               self.initial_density_full(system_rho))
 
     def noise_bound(self, system_rho: np.ndarray) -> float:
@@ -191,26 +185,19 @@ def _branch_projectors(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _qubit_swap(num_wires: int, i: int, j: int) -> np.ndarray:
-    """Full SWAP of register qubits i and j (0-based) on a bank of num_wires."""
-    dim = 1 << num_wires
-    perm = np.arange(dim)
-    for idx in range(dim):
-        bi = (idx >> (num_wires - 1 - i)) & 1
-        bj = (idx >> (num_wires - 1 - j)) & 1
-        if bi != bj:
-            perm[idx] = idx ^ (1 << (num_wires - 1 - i)) ^ (1 << (num_wires - 1 - j))
-    out = np.zeros((dim, dim))
-    out[perm, np.arange(dim)] = 1.0
+    """Full SWAP of register qubits i and j (0-based) on a bank of num_wires.
+
+    The identity with the row axes of qubits i and j transposed.
+    """
+    eye = np.eye(1 << num_wires).reshape((2,) * (2 * num_wires))
+    return eye.swapaxes(i, j).reshape(1 << num_wires, 1 << num_wires)
+
+
+def _basis(*bits: int) -> np.ndarray:
+    """The computational basis vector |bits> of len(bits) qubits, as 0/1 floats."""
+    out = np.zeros(1 << len(bits))
+    out[int("".join(map(str, bits)), 2)] = 1.0
     return out
-
-
-def _register_mask(num_wires: int, bits: tuple[int, ...]) -> np.ndarray:
-    mask = np.zeros(1 << num_wires)
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    mask[idx] = 1.0
-    return mask
 
 
 def build_ud_unitary(m: int) -> MeasurementModel:
@@ -228,12 +215,9 @@ def build_ud_unitary(m: int) -> MeasurementModel:
     p_plus, p_minus, p_edge = _branch_projectors(m)
     unitary = ConservingUnitary(comp.space, comp.lift(
         (p_edge, np.eye(8)), (p_minus, _qubit_swap(3, 1, 2)), (p_plus, _qubit_swap(3, 0, 2))))
-    plus = _register_mask(3, (1, 0, 0))
-    minus = _register_mask(3, (0, 1, 0))
+    plus, minus = _basis(1, 0, 0), _basis(0, 1, 0)
     pointer = {"plus": plus, "minus": minus, "fail": np.ones(8) - plus - minus}
-    init = (uniform_state(m).amplitudes, None,
-            _register_mask(1, (0,)), _register_mask(1, (0,)),
-            _register_mask(1, (1,)))
+    init = (uniform_state(m).amplitudes, None, _basis(0), _basis(0), _basis(1))
     return MeasurementModel("ud", m, comp, init, unitary, pointer)
 
 
@@ -251,10 +235,9 @@ def build_mle_unitary(m: int) -> MeasurementModel:
     p_plus, p_minus, p_edge = _branch_projectors(m)
     unitary = ConservingUnitary(comp.space, comp.lift(
         (p_plus + p_edge, _qubit_swap(2, 0, 1)), (p_minus, np.eye(4))))
-    plus = _register_mask(2, (1, 0))
+    plus = _basis(1, 0)
     pointer = {"plus": plus, "minus": np.ones(4) - plus}
-    init = (uniform_state(m).amplitudes, None,
-            _register_mask(1, (0,)), _register_mask(1, (1,)))
+    init = (uniform_state(m).amplitudes, None, _basis(0), _basis(1))
     return MeasurementModel("mle", m, comp, init, unitary, pointer)
 
 
@@ -280,8 +263,7 @@ def build_repeatable_variant(m: int) -> MeasurementModel:
     eye_r = np.eye(m + 1)
     swap_sc = _qubit_swap(2, 0, 1)
     phase_then_swap = swap_sc @ np.kron(eye2, np.diag([1.0, -1.0]))
-    plus = _register_mask(3, (1, 0, 0))
-    minus = _register_mask(3, (0, 1, 0))
+    plus, minus = _basis(1, 0, 0), _basis(0, 1, 0)
     q_plus, q_minus = np.diag(plus), np.diag(minus)
     q_rest = eye8 - q_plus - q_minus
     v2 = BlockDiagonal(comp.space, comp.lift(
@@ -291,8 +273,7 @@ def build_repeatable_variant(m: int) -> MeasurementModel:
     pointer = {"plus": plus, "minus": minus, "fail": np.ones(8) - plus - minus}
     plus_vec, _ = plus_minus_eigenstates()
     init = (uniform_state(m).amplitudes, None, plus_vec.astype(complex),
-            _register_mask(1, (0,)), _register_mask(1, (0,)),
-            _register_mask(1, (1,)))
+            _basis(0), _basis(0), _basis(1))
     return MeasurementModel("repeatable", m, comp, init,
                             ConservingUnitary(comp.space, (v2 @ v1).stacks), pointer)
 
@@ -315,12 +296,11 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
     # the evolved state is b^dagger: two stacked products per sector dimension, on the
     # operands the dense readout used, so that every printed bit is kept
     b = v @ np.conjugate((v @ model.initial_density_full(system_state)).T, order="C")
-    comp, pos = model.composite, model.positions
+    pos = model.positions
     diag = np.conj(np.diagonal(b))
     coherences = np.conj(b[pos[None, :, :], pos[:, None, :]])  # <s,a| . |s',a> at [s, s', a]
     out: dict[str, tuple[float, np.ndarray | None]] = {}
-    for label, mask in model.pointer.items():
-        keep = mask[comp.kron_index % mask.size]
+    for label, keep in model.outcome_masks.items():
         prob = float(np.real(np.sum(diag * keep)))
         if prob <= PROB_CUTOFF:
             out[label] = (max(prob, 0.0), None)
@@ -340,15 +320,12 @@ def verify_conservation(unitary: ConservingUnitary) -> float:
 
 
 def verify_yanase(model: MeasurementModel) -> float:
-    """Spectral norm of [Z_A, N_A] on the apparatus (pointer vs apparatus charge).
+    """Spectral norm of [Z_A, N_A] on the apparatus: 0.0, with no work done.
 
-    Both are diagonal in the apparatus charge basis, so the commutator is the
-    diagonal z n - n z, and its spectral norm is its largest entry.
+    The pointer is held as masks over register basis states, each a charge
+    eigenstate, so Z_A is diagonal in a charge basis and commutes with N_A.
     """
-    app = model.apparatus
-    z = _pointer_diagonal(app, model.pointer)
-    n = app.space.charge_labels()
-    return float(np.max(np.abs(z * n - n * z)))
+    return 0.0
 
 
 def model_manifest(model: MeasurementModel) -> dict:

@@ -152,14 +152,12 @@ def raynal_reduce(ensemble: Ensemble) -> list[SectorReduction]:
 def _projectors(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Per matrix of an (S, k, k) ``eigh`` vector stack, v v^dagger of the columns ``keep`` marks.
 
-    Sectors that keep the same columns share one stacked matmul.
+    One stacked product of the masked vectors w = v diag(keep) with their
+    adjoint.  The dropped columns are exact zeros on both sides, so an empty
+    ``keep`` row gives a +0.0 block.
     """
-    out = np.zeros(vecs.shape, dtype=complex)
-    for pattern in np.unique(keep, axis=0):
-        rows = (keep == pattern).all(axis=1)
-        v = vecs[rows][:, :, pattern]
-        out[rows] = v @ v.conj().swapaxes(1, 2)
-    return out
+    w = np.where(keep[:, None, :], vecs, 0.0)
+    return w @ w.conj().swapaxes(1, 2)
 
 
 def _check_stacks(rho_plus, rho_minus, p_plus, p_minus) -> tuple[np.ndarray, ...]:

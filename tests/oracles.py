@@ -422,7 +422,7 @@ def composite_readout_reference(model, system_rho):
     Returns a dict with ``outcomes`` (label -> (probability, reduced system
     state or None)) and ``noise``.
     """
-    from waylab.circuits import (PLUS_MINUS_OBSERVABLE, PROB_CUTOFF, _pointer_diagonal)
+    from waylab.circuits import PLUS_MINUS_OBSERVABLE, POINTER_VALUES, PROB_CUTOFF
 
     v = model.unitary
     evolved = (v @ (v @ model.initial_density_full(system_rho)).conj().T).conj().T
@@ -454,7 +454,8 @@ def composite_readout_reference(model, system_rho):
     v = np.asarray(model.unitary.matrix, dtype=complex)
     l_full = np.asarray(model.system_operator_full(PLUS_MINUS_OBSERVABLE), dtype=complex)
     rho = np.asarray(model.initial_density_full(system_rho), dtype=complex)
-    z = np.asarray(_pointer_diagonal(model.composite, model.pointer))
+    zreg = sum(POINTER_VALUES[label] * mask for label, mask in model.pointer.items())
+    z = zreg[comp.kron_index % zreg.size]
     noise_op = (v.conj().T * z) @ v - l_full
     val = np.real(np.trace(noise_op @ noise_op @ rho))
     return {"outcomes": out, "noise": float(max(val, 0.0))}

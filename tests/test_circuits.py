@@ -71,6 +71,18 @@ class TestStructuralChecks:
         for m in range(1, 9):
             assert verify_yanase(builder(m)) == 0.0
 
+    @pytest.mark.parametrize("builder", ALL_BUILDERS)
+    def test_outcome_masks_are_the_pointer_on_the_composite_basis(self, builder):
+        # the register wires trail, so in the Kronecker layout each outcome mask
+        # is the register mask repeated over the other wires; gathered once
+        model = builder(3)
+        masks = model.outcome_masks
+        assert model.outcome_masks is masks and list(masks) == list(model.pointer)
+        inv = np.argsort(model.composite.kron_index)
+        for label, reg in model.pointer.items():
+            rest = model.composite.space.total_dim // reg.size
+            assert masks[label][inv].tobytes() == np.kron(np.ones(rest), reg).tobytes()
+
     @pytest.mark.parametrize("builder, wires", [(build_ud_unitary, (1, 3)),
                                                 (build_mle_unitary, (1, 2)),
                                                 (build_repeatable_variant, (1, 3))])

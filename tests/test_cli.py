@@ -323,6 +323,17 @@ class TestCircuitCommand:
     def test_invalid_m_exit_2(self):
         assert run_cli("circuit", "--kind", "ud", "--m", "0").returncode == 2
 
+    def test_non_unitary_circuit_exit_3(self, monkeypatch, capsys):
+        # a circuit that fails its own unitarity check is an internal failure,
+        # caught when the unitary is built, not an input error
+        from waylab import circuits, cli
+
+        monkeypatch.setattr(circuits, "_qubit_swap", lambda n, i, j: 2 * np.eye(1 << n))
+        assert cli.main(["circuit", "--kind", "ud", "--m", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: matrix is not unitary within tolerance")
+
 
 class TestOzawaCommand:
     def test_model_scenario(self, tmp_path):

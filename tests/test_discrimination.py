@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -455,3 +456,42 @@ class TestStacking:
             assert [c for c, _, _ in res.per_sector] == [1]
             assert res.success_prob == pytest.approx(1.0)
             assert np.allclose(sum(res.global_effects.values()), np.eye(3), atol=1e-12)
+
+
+class TestProjectors:
+    """``_projectors`` is one masked product: v diag(keep) v^dagger per sector."""
+
+    @staticmethod
+    def eigh_stacks(rng, k, complex_entries):
+        # one sector per keep pattern, all-false and all-true rows included,
+        # from seeded Hermitian stacks of random rank 1..k
+        patterns = np.array(list(itertools.product([False, True], repeat=k)))
+        for _ in range(25):
+            a = rng.normal(size=(len(patterns), k, k))
+            if complex_entries:
+                a = a + 1j * rng.normal(size=a.shape)
+            a[:, :, rng.integers(1, k + 1):] = 0.0
+            yield np.linalg.eigh(a @ a.conj().swapaxes(1, 2) + 0j)[1], patterns
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_real_stacks_hold_the_kept_column_product_bits(self, k):
+        # every resource model feeds real-valued stacks; on them the masked
+        # product keeps every bit of v[:, keep] v[:, keep]^dagger, the sign of
+        # each zero included, so the --effects output does not move
+        for vecs, patterns in self.eigh_stacks(np.random.default_rng(k), k, False):
+            got = discrimination._projectors(vecs, patterns)
+            for g, v, keep in zip(got, vecs, patterns):
+                assert g.tobytes() == (v[:, keep] @ v[:, keep].conj().T).tobytes(), keep
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_complex_stacks_match_the_kept_column_product(self, k):
+        # numpy forms a one-column product v[:, [j]] v[:, [j]]^dagger outside
+        # BLAS, so on complex stacks it may differ from the masked GEMM in the
+        # last bit; every other pattern takes the same GEMM
+        for vecs, patterns in self.eigh_stacks(np.random.default_rng(10 + k), k, True):
+            got = discrimination._projectors(vecs, patterns)
+            for g, v, keep in zip(got, vecs, patterns):
+                want = v[:, keep] @ v[:, keep].conj().T
+                if keep.sum() != 1:
+                    assert g.tobytes() == want.tobytes(), keep
+                np.testing.assert_allclose(g, want, rtol=0, atol=1e-15)
