@@ -127,10 +127,26 @@ class MeasurementModel:
         return {label: mask[register] for label, mask in self.pointer.items()}
 
     @functools.cached_property
+    def _kron_position(self) -> np.ndarray:
+        """Composite index of each Kronecker basis state, one axis per wire."""
+        return np.argsort(self.composite.kron_index).reshape(self.composite.wire_dims)
+
+    @functools.cached_property
     def positions(self) -> np.ndarray:
         """(ds, da) composite index of |s, a>: system index s, apparatus Kronecker index a."""
-        pos = np.argsort(self.composite.kron_index).reshape(self.composite.wire_dims)
-        return np.moveaxis(pos, self.system_wire, 0).reshape(self.system_space.total_dim, -1)
+        pos = np.moveaxis(self._kron_position, self.system_wire, 0)
+        return pos.reshape(self.system_space.total_dim, -1)
+
+    @functools.cached_property
+    def input_support(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Where every input rho_system (x) apparatus-init can be nonzero.
+
+        Returns each wire's support (all of the system wire, the nonzero ``init``
+        entries elsewhere) and the composite rows of their product, in Kronecker order.
+        """
+        supports = tuple(np.arange(w.total_dim) if vec is None else np.flatnonzero(vec)
+                         for w, vec in zip(self.composite.wires, self.init))
+        return supports, self._kron_position[np.ix_(*supports)].ravel()
 
     def system_operator_full(self, op: np.ndarray) -> np.ndarray:
         """A system-wire operator times the apparatus identity, in the composite graded basis."""
@@ -141,9 +157,14 @@ class MeasurementModel:
     def initial_density_full(self, system_rho: np.ndarray) -> np.ndarray:
         """rho_system (x) apparatus-init, in the composite graded basis."""
         rho = _check_density(system_rho, self.system_space.total_dim)
-        return self.composite.promote(*(
-            rho if i == self.system_wire else np.outer(vec, vec.conj())
-            for i, vec in enumerate(self.init)))
+        supports, rows = self.input_support
+        # the same products, in wire order, as the full Kronecker product, on the support only
+        block = functools.reduce(np.kron, (
+            rho if vec is None else np.outer(vec[s], vec[s].conj())
+            for vec, s in zip(self.init, supports)))
+        out = np.zeros((self.composite.space.total_dim,) * 2, dtype=complex)
+        out[rows[:, None], rows] = block
+        return out
 
     def noise(self, system_rho: np.ndarray) -> float:
         """Mean squared measurement noise of this model on a system input."""
@@ -292,10 +313,15 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
     pointer-masked diagonal of V rho V^dagger and, for each apparatus index a,
     the system entries <s,a| . |s',a> are read.
     """
-    v = model.unitary
-    # the evolved state is b^dagger: two stacked products per sector dimension, on the
-    # operands the dense readout used, so that every printed bit is kept
-    b = v @ np.conjugate((v @ model.initial_density_full(system_state)).T, order="C")
+    v, (_, rows) = model.unitary, model.input_support
+    # the evolved state is b^dagger, from two products per sector on the operands the
+    # dense readout used, so that every printed bit is kept; (V rho)^dagger = rho V^dagger
+    # is zero off the input's support rows
+    a = v @ model.initial_density_full(system_state)
+    adjoint = np.zeros_like(a)
+    adjoint[rows] = np.conj(a[:, rows].T)
+    del a
+    b = v @ adjoint
     pos = model.positions
     diag = np.conj(np.diagonal(b))
     coherences = np.conj(b[pos[None, :, :], pos[:, None, :]])  # <s,a| . |s',a> at [s, s', a]

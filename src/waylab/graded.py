@@ -250,9 +250,12 @@ class BlockDiagonal:
         if isinstance(other, BlockDiagonal):
             return BlockDiagonal(self.space, {k: s @ other.stacks[k]
                                               for k, s in self.stacks.items()})
-        out = np.empty(other.shape, dtype=complex)
+        # each sector is a contiguous row slice: one (k, k) @ (k, n) product straight into it
+        x = np.ascontiguousarray(other, dtype=complex)
+        out = np.empty(x.shape, dtype=complex)
         for k, (_, idx) in self.space.groups.items():
-            out[idx] = self.stacks[k] @ other[idx]
+            for block, start in zip(self.stacks[k], idx[:, 0].tolist()):
+                np.matmul(block, x[start:start + k], out=out[start:start + k])
         return out
 
 
@@ -354,10 +357,6 @@ class CompositeSpace:
             f.amplitudes if isinstance(f, PureState) else np.asarray(f, dtype=complex)
             for f in factors))
         return PureState(self.space, self.vector(vec))
-
-    def promote(self, *ops: np.ndarray) -> np.ndarray:
-        """Lift the product of one operator per wire into the composite basis."""
-        return self.matrix(functools.reduce(np.kron, ops))
 
 
 def tensor(a: GradedSpace, b: GradedSpace) -> CompositeSpace:

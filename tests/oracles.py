@@ -414,18 +414,46 @@ def dense_circuit_reference(model, system_rho, prob_cutoff: float = 1e-14):
             "yanase": _commutator_norm(z_app, n_a)}
 
 
+def kron_initial_density(model, system_rho):
+    """rho_system (x) apparatus-init in the composite basis, from the full Kronecker form.
+
+    One factor per wire, multiplied in wire order over the whole Kronecker basis
+    and then permuted by ``kron_index``: the dense construction whose support
+    entries the circuit readout must reproduce bit for bit.
+    """
+    rho = np.asarray(system_rho, dtype=complex)
+    factors = (rho if vec is None else np.outer(vec, vec.conj()) for vec in model.init)
+    return model.composite.matrix(functools.reduce(np.kron, factors))
+
+
+def stacked_product(blocks, x):
+    """``blocks @ x`` for a block-diagonal operator and dense (d, n) rows, by stacks.
+
+    Each sector dimension's rows are gathered into an (S, k, n) stack,
+    multiplied by the (S, k, k) blocks in one stacked product and scattered
+    back: the same (k, k) @ (k, n) product per sector as the sector-slice form.
+    """
+    out = np.empty(x.shape, dtype=complex)
+    for k, (_, idx) in blocks.space.groups.items():
+        out[idx] = blocks.stacks[k] @ x[idx]
+    return out
+
+
 def composite_readout_reference(model, system_rho):
     """The dense composite-basis readout and noise, pinned to the bits the CLI prints.
 
-    The outcomes come from a d x d outcome mask and an ``ix_`` permutation back
-    to the Kronecker layout, and the noise from the dense ``(V^dagger * z) @ V``.
-    Returns a dict with ``outcomes`` (label -> (probability, reduced system
-    state or None)) and ``noise``.
+    The input is the full Kronecker product (``kron_initial_density``) and the
+    evolution two stacked products (``stacked_product``), both formed here
+    rather than by the code under test.  The outcomes come from a d x d outcome
+    mask and an ``ix_`` permutation back to the Kronecker layout, and the noise
+    from the dense ``(V^dagger * z) @ V``.  Returns a dict with ``outcomes``
+    (label -> (probability, reduced system state or None)) and ``noise``.
     """
     from waylab.circuits import PLUS_MINUS_OBSERVABLE, POINTER_VALUES, PROB_CUTOFF
 
+    rho = kron_initial_density(model, system_rho)
     v = model.unitary
-    evolved = (v @ (v @ model.initial_density_full(system_rho)).conj().T).conj().T
+    evolved = stacked_product(v, stacked_product(v, rho).conj().T).conj().T
 
     comp = model.composite
     inv = np.argsort(comp.kron_index)
@@ -452,8 +480,8 @@ def composite_readout_reference(model, system_rho):
         out[label] = (prob, reduced.reshape(ds, ds) / prob)
 
     v = np.asarray(model.unitary.matrix, dtype=complex)
-    l_full = np.asarray(model.system_operator_full(PLUS_MINUS_OBSERVABLE), dtype=complex)
-    rho = np.asarray(model.initial_density_full(system_rho), dtype=complex)
+    l_full = comp.matrix(functools.reduce(np.kron, (
+        PLUS_MINUS_OBSERVABLE if i == sys_i else np.eye(n) for i, n in enumerate(dims))))
     zreg = sum(POINTER_VALUES[label] * mask for label, mask in model.pointer.items())
     z = zreg[comp.kron_index % zreg.size]
     noise_op = (v.conj().T * z) @ v - l_full

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import random_density, random_pure, random_unitary
 from oracles import (composite_readout_reference, dense_circuit_reference,
-                     dense_kron_unitary, outer_product_projectors)
+                     dense_kron_unitary, kron_initial_density, outer_product_projectors,
+                     stacked_product)
 from waylab.circuits import (CompositeSpace, ConservingUnitary,
                              build_mle_unitary, build_repeatable_variant,
                              build_ud_unitary, model_manifest,
@@ -168,10 +169,47 @@ class TestPinnedReadout:
             assert any(0.0 < p < 1e-30 for p, _ in got.values())
 
 
+class TestScatteredInput:
+    """The input is the full Kronecker product's support block, scattered into zeros."""
+
+    INPUTS = {"e+": rho_of(E_PLUS), "e-": rho_of(E_MINUS), "0": rho_of(np.array([1.0, 0.0])),
+              "1": rho_of(np.array([0.0, 1.0])),
+              "seeded": rho_of(random_pure(np.random.default_rng(29), 2)),
+              "mixed": random_density(np.random.default_rng(31), 2)}
+
+    @pytest.mark.parametrize("name", INPUTS)
+    @pytest.mark.parametrize("m", [1, 2, 5, 20])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bits_match_the_full_kronecker_product(self, kind, m, name):
+        model = built(kind, m)
+        got = model.initial_density_full(self.INPUTS[name])
+        want = kron_initial_density(model, self.INPUTS[name])
+        _, rows = model.input_support
+        assert got[np.ix_(rows, rows)].tobytes() == want[np.ix_(rows, rows)].tobytes()
+        # off the support the full product holds zeros, -0.0 where a negative real
+        # part meets a 0; adding +0.0 leaves every other bit as it is
+        assert got.tobytes() == (want + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 13])
+def test_sector_slice_products_match_the_stacked_products(n, rng):
+    # sectors of equal dimension that are not adjacent, and a (d, n) operand, n != d
+    space = GradedSpace((0, 1, 2, 3, 4), (1, 2, 1, 2, 3))
+    blocks = BlockDiagonal(space, {
+        k: rng.normal(size=(len(c), k, k)) + 1j * rng.normal(size=(len(c), k, k))
+        for k, (c, _) in space.groups.items()})
+    x = rng.normal(size=(space.total_dim, n)) + 1j * rng.normal(size=(space.total_dim, n))
+    assert (blocks @ x).tobytes() == stacked_product(blocks, x).tobytes()
+    # a real or column-major operand multiplies as its C-ordered complex copy
+    assert (blocks @ x.real).tobytes() == stacked_product(blocks, x.real).tobytes()
+    xf = np.asfortranarray(x)
+    assert (blocks @ xf).tobytes() == stacked_product(blocks, x).tobytes()
+
+
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
 @pytest.mark.parametrize("run, bound", [
     (lambda model, rho: model.noise(rho), 5.1),
-    (lambda model, rho: simulate_measurement(model, rho), 4.6),
+    (lambda model, rho: simulate_measurement(model, rho), 2.8),
 ], ids=["noise", "simulate_measurement"])
 def test_traced_peak_within_dense_matrices(builder, run, bound):
     # the peak in units of one dense complex d x d matrix, 16 d^2 bytes

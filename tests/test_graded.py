@@ -126,7 +126,7 @@ class TestTensor:
         va, vb = random_pure(rng, 3), random_pure(rng, 2)
         oa = rng.normal(size=(3, 3))
         ob = rng.normal(size=(2, 2))
-        left = tm.promote(oa, ob) @ tm.pure(va, vb).amplitudes
+        left = tm.matrix(np.kron(oa, ob)) @ tm.pure(va, vb).amplitudes
         right = tm.vector(np.kron(oa @ va, ob @ vb))
         assert np.allclose(left, right)
 
