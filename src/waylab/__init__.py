@@ -1,10 +1,9 @@
 """Measurement under a U(1) conservation law: asymmetry resources, covariant
 discrimination, and explicit conserving readout circuits."""
 
-from .graded import (EPS_NUM, BlockDiagonal, BlockState, CompositeSpace,
-                     GradedSpace, NumericalError, Observable, PureState,
-                     coherent_state, g_twirl, opt_phase_state, tensor,
-                     uniform_state)
+from .graded import (EPS_NUM, BlockDiagonal, CompositeSpace, GradedSpace,
+                     NumericalError, Observable, PureState, coherent_state,
+                     g_twirl, opt_phase_state, tensor, uniform_state)
 from .convert import (ChargeDistribution, Comparison, ConversionCertificate,
                       charge_distribution, compare, deterministic_convertible,
                       frameness_entropy, stochastic_reachable_from_uniform,

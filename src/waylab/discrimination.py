@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import (EPS_NUM, BlockDiagonal, BlockState, GradedSpace, NumericalError,
-                     _require, _require_blocks, _trace)
+from .graded import EPS_NUM, BlockDiagonal, GradedSpace, NumericalError, _require
 
 SUPPORT_RANK_TOL = 1e-9
 WEIGHT_CUTOFF = 1e-15  # sectors at or below this ensemble weight are dropped
@@ -51,9 +50,14 @@ class Criterion(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Finite ensemble {(prior, block state)} on a common graded space."""
+    """Finite ensemble {(prior, twirled state)} on a common graded space.
 
-    items: tuple[tuple[float, BlockState], ...]
+    The states are taken as they are: each is a ``BlockDiagonal`` from
+    ``PureState.twirl`` or ``g_twirl``, which check their input once, where
+    it enters.  Only the priors and the spaces are checked here.
+    """
+
+    items: tuple[tuple[float, BlockDiagonal], ...]
 
     def __post_init__(self):
         if not self.items:
@@ -125,6 +129,19 @@ class DiscriminationResult:
             covered = sum(st[k] for st in stacks.values())
             stacks[spare][k] = stacks[spare][k] + (np.eye(k) - covered)
         return {lab: BlockDiagonal(self.space, st).to_dense() for lab, st in stacks.items()}
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    """The real traces of an (S, k, k) stack."""
+    return np.trace(a, axis1=1, axis2=2).real
+
+
+def _require_blocks(errs: np.ndarray, charges: np.ndarray, what: str,
+                    exc: type[Exception] = ValueError) -> None:
+    """``_require`` on the worst of a stack's per-sector errors, naming its charge."""
+    if len(errs):
+        i = int(np.argmax(errs))  # the first NaN, if there is one
+        _require(errs[i], EPS_NUM, f"block for charge {charges[i]} {what}", exc)
 
 
 def raynal_reduce(ensemble: Ensemble) -> list[SectorReduction]:

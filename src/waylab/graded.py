@@ -44,7 +44,6 @@ __all__ = [
     "PureState",
     "Observable",
     "BlockDiagonal",
-    "BlockState",
     "CompositeSpace",
     "tensor",
     "g_twirl",
@@ -166,16 +165,17 @@ class PureState:
     def sector_component(self, n: int) -> np.ndarray:
         return self.amplitudes[self.space.slice_of(n)]
 
-    def twirl(self) -> "BlockState":
+    def twirl(self) -> "BlockDiagonal":
         """The G-twirl of this state: the rank-1 block v_n v_n^dagger of every sector.
 
         Entry for entry the blocks of ``g_twirl(self.density(), self.space)``,
-        without the dense density: a unit vector is PSD with unit trace by
-        construction, so no dense check is needed.
+        without the dense density and without a check: each block v_n v_n^dagger
+        is Hermitian and PSD, and their traces sum to <psi|psi>, which the
+        constructor has checked.
         """
         vs = {k: self.amplitudes[idx] for k, (_, idx) in self.space.groups.items()}
-        return BlockState(self.space, {k: v[:, :, None] * v.conj()[:, None, :]
-                                       for k, v in vs.items()})
+        return BlockDiagonal(self.space, {k: v[:, :, None] * v.conj()[:, None, :]
+                                          for k, v in vs.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +238,9 @@ class BlockDiagonal:
         k = self.space.dim_of(n)
         return self.stacks[k][np.searchsorted(self.space.groups[k][0], n)]
 
+    def sector_weight(self, n: int) -> float:
+        return float(np.trace(self.block(n)).real)
+
     def to_dense(self) -> np.ndarray:
         d = self.space.total_dim
         out = np.zeros((d, d), dtype=complex)
@@ -248,51 +251,20 @@ class BlockDiagonal:
     def __matmul__(self, other):
         """Stack by stack with a ``BlockDiagonal`` on the same space, else on dense (d, n) rows."""
         if isinstance(other, BlockDiagonal):
+            if other.space != self.space:
+                raise ValueError("block-diagonal operands live on different spaces")
             return BlockDiagonal(self.space, {k: s @ other.stacks[k]
                                               for k, s in self.stacks.items()})
         # each sector is a contiguous row slice: one (k, k) @ (k, n) product straight into it
         x = np.ascontiguousarray(other, dtype=complex)
+        if x.ndim not in (1, 2) or len(x) != self.space.total_dim:
+            raise ValueError(f"operand of shape {x.shape} does not match space dimension "
+                             f"{self.space.total_dim}")
         out = np.empty(x.shape, dtype=complex)
         for k, (_, idx) in self.space.groups.items():
             for block, start in zip(self.stacks[k], idx[:, 0].tolist()):
                 np.matmul(block, x[start:start + k], out=out[start:start + k])
         return out
-
-
-def _trace(a: np.ndarray) -> np.ndarray:
-    """The real traces of an (S, k, k) stack."""
-    return np.trace(a, axis1=1, axis2=2).real
-
-
-def _require_blocks(errs: np.ndarray, charges: np.ndarray, what: str,
-                    exc: type[Exception] = ValueError) -> None:
-    """``_require`` on the worst of a stack's per-sector errors, naming its charge."""
-    if len(errs):
-        i = int(np.argmax(errs))  # the first NaN, if there is one
-        _require(errs[i], EPS_NUM, f"block for charge {charges[i]} {what}", exc)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockState(BlockDiagonal):
-    """Density operator stored as Hermitian PSD blocks, one per charge sector.
-
-    This is the canonical form of any G-twirled state: coherences between
-    sectors are identically zero, so only the diagonal blocks are kept.  The
-    checks run as one stacked call per sector dimension.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        for k, s in self.stacks.items():
-            charges = self.space.groups[k][0]
-            _require_blocks(np.max(np.abs(s - s.conj().swapaxes(1, 2)), axis=(1, 2)),
-                            charges, "is not Hermitian")
-            _require_blocks(-np.linalg.eigvalsh(s)[:, 0], charges, "is not PSD")
-        total = math.fsum(t for s in self.stacks.values() for t in _trace(s).tolist())
-        _require(abs(total - 1.0), EPS_NUM, "block traces do not sum to one")
-
-    def sector_weight(self, n: int) -> float:
-        return float(np.trace(self.block(n)).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,10 +325,12 @@ class CompositeSpace:
 
     def pure(self, *factors: PureState | np.ndarray) -> PureState:
         """The product state of one vector per wire."""
-        vec = functools.reduce(np.kron, (
-            f.amplitudes if isinstance(f, PureState) else np.asarray(f, dtype=complex)
-            for f in factors))
-        return PureState(self.space, self.vector(vec))
+        vecs = [f.amplitudes if isinstance(f, PureState) else np.asarray(f, dtype=complex)
+                for f in factors]
+        shapes = [v.shape for v in vecs]
+        if shapes != [(d,) for d in self.wire_dims]:
+            raise ValueError(f"factor shapes {shapes} do not match the wires {self.wire_dims}")
+        return PureState(self.space, self.vector(functools.reduce(np.kron, vecs)))
 
 
 def tensor(a: GradedSpace, b: GradedSpace) -> CompositeSpace:
@@ -368,17 +342,20 @@ def tensor(a: GradedSpace, b: GradedSpace) -> CompositeSpace:
     return CompositeSpace.of((a, b))
 
 
-def g_twirl(rho: np.ndarray, space: GradedSpace) -> BlockState:
+def g_twirl(rho: np.ndarray, space: GradedSpace) -> BlockDiagonal:
     """Average a state over the U(1) group action.
 
     For integer charges the group average equals the pinching
     sum_n P_n rho P_n, i.e. dropping every coherence between different total
     charge sectors; the result is returned in block form.  Twirling is exact
-    (block extraction), hence idempotent.
+    (block extraction), hence idempotent.  ``rho`` is checked once, dense: the
+    blocks are principal submatrices of it, so they are Hermitian when it is,
+    no eigenvalue of theirs is below its smallest (Cauchy interlacing), and
+    their traces sum to its trace.
     """
     rho = _check_density(rho, space.total_dim)
-    return BlockState(space, {k: rho[idx[:, :, None], idx[:, None, :]]
-                              for k, (_, idx) in space.groups.items()})
+    return BlockDiagonal(space, {k: rho[idx[:, :, None], idx[:, None, :]]
+                                 for k, (_, idx) in space.groups.items()})
 
 
 def uniform_state(max_charge: int) -> PureState:

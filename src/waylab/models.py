@@ -21,7 +21,7 @@ import numpy as np
 from .discrimination import (Criterion, DiscriminationResult, Ensemble,
                              perfect_discrimination_possible)
 from .discrimination import discriminate as _discriminate
-from .graded import (EPS_NUM, BlockDiagonal, BlockState, CompositeSpace, GradedSpace,
+from .graded import (EPS_NUM, BlockDiagonal, CompositeSpace, GradedSpace,
                      NumericalError, Observable, PureState, _require,
                      coherent_state, opt_phase_state, tensor, uniform_state)
 
@@ -241,7 +241,7 @@ def way_feasibility(scenario: WayScenario) -> tuple[Verdict, Ensemble]:
     tm = tensor(scenario.resource.space, scenario.system) \
         if scenario.resource is not None else None
 
-    kept: list[tuple[float, BlockState]] = []
+    kept: list[tuple[float, BlockDiagonal]] = []
     for k in range(len(vals)):
         if scenario.prior[k] <= EPS_NUM:
             continue

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .graded import BlockState, GradedSpace, PureState, _require
+from .graded import BlockDiagonal, GradedSpace, PureState, _require
 
 SIG_DIGITS = 12
 
@@ -58,7 +58,7 @@ def state_from_json(obj) -> PureState:
     return PureState(space, amps / norm)
 
 
-def block_state_to_json(bs: BlockState) -> dict:
+def block_state_to_json(bs: BlockDiagonal) -> dict:
     out = space_to_json(bs.space)
     out["blocks"] = {str(n): matrix_to_json(bs.block(n)) for n in bs.space.charges}
     return out

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import shutil
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waylab import serialize
+from waylab import cli, serialize
 from waylab.graded import GradedSpace, PureState
 
 
@@ -20,9 +22,26 @@ PYPROJECT = ROOT / "pyproject.toml"
 PERFBENCH = ROOT / "perfbench"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args):
+    """Run ``waylab.cli.main`` in this process, as ``python -m waylab`` runs it.
+
+    stdout and stderr are captured, and argparse's ``SystemExit`` becomes the
+    return code.  The suite's warning filters apply, so a ``RuntimeWarning``
+    raised in the command fails the test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(["waylab", *args], code, out.getvalue(), err.getvalue())
+
+
+def run_cli_cold(*args):
+    """Run ``python -m waylab`` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "waylab", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True)
 
 
 def run_console_script(*args):
@@ -104,8 +123,6 @@ class TestTwirl:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_amplitude_exit_2_before_any_divide(self, tmp_path, capsys):
-        from waylab import cli
-
         bad = tmp_path / "nan.json"
         bad.write_text(json.dumps({"charges": [0, 1], "sector_dims": [1, 1],
                                    "amplitudes": [[math.nan, 0.0], [1.0, 0.0]]}))
@@ -155,8 +172,6 @@ class TestConvert:
         ('{"0": NaN, "1": 1.0}', "non-finite probability at charge 0"),
     ], ids=["list", "number", "null", "nan-probability"])
     def test_unusable_distribution_file_exit_2(self, tmp_path, capsys, content, error):
-        from waylab import cli
-
         p = tmp_path / "p.json"
         p.write_text(content)
         q = write_dist(tmp_path, "q.json", {0: 1.0})
@@ -167,7 +182,6 @@ class TestConvert:
 
     def test_solver_disagreement_exit_3(self, tmp_path, monkeypatch, capsys):
         # a feasible verdict that the residual's LP contradicts must not print
-        from waylab import cli
         from waylab.convert import ConversionCertificate
 
         def lying(p, q):
@@ -186,8 +200,6 @@ class TestConvert:
     def test_tolerance_band_pairs_get_a_verdict(self, tmp_path, capsys, d, code):
         # within a small factor of the tolerance the window's fit decides; the
         # LP behind the printed residual does not turn either verdict into exit 3
-        from waylab import cli
-
         p = write_dist(tmp_path, "p.json", {0: 0.45 - d, 1: 0.5, 2: 0.05 + d})
         q = write_dist(tmp_path, "q.json", {0: 0.9, 1: 0.1})
         assert cli.main(["convert", p, q]) == code
@@ -227,8 +239,8 @@ class TestDiscriminateCommand:
         # a valid input the truncation cannot handle is a numerical failure,
         # not an input error
         t0 = time.perf_counter()
-        res = run_cli("discriminate", "--resource", "coherent", "--param", "30",
-                      "--criterion", criterion)
+        res = run_cli_cold("discriminate", "--resource", "coherent", "--param", "30",
+                           "--criterion", criterion)
         assert time.perf_counter() - t0 < 2.0
         assert res.returncode == 3
         assert res.stderr.startswith("error: ")
@@ -247,8 +259,6 @@ class TestDiscriminateCommand:
 ], ids=["coherent-inf", "uniform-inf", "uniform-minus-inf", "uniform-nan",
         "opt_phase-inf", "fig2-inf", "fig3-inf", "fig2-nan"])
 def test_non_finite_param_or_grid_exit_2(argv, capsys):
-    from waylab import cli
-
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -326,7 +336,7 @@ class TestCircuitCommand:
     def test_non_unitary_circuit_exit_3(self, monkeypatch, capsys):
         # a circuit that fails its own unitarity check is an internal failure,
         # caught when the unitary is built, not an input error
-        from waylab import circuits, cli
+        from waylab import circuits
 
         monkeypatch.setattr(circuits, "_qubit_swap", lambda n, i, j: 2 * np.eye(1 << n))
         assert cli.main(["circuit", "--kind", "ud", "--m", "2"]) == 3
@@ -377,8 +387,6 @@ class TestOzawaCommand:
 
     def test_bound_only_nan_observable_exit_2(self, tmp_path, capsys):
         # a NaN in L once printed {"bound":NaN,...}, which is not JSON, and exited 0
-        from waylab import cli
-
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({
             "system_space": {"charges": [0, 1], "sector_dims": [1, 1]},
@@ -422,8 +430,6 @@ class TestOzawaCommand:
         assert res.stderr.startswith("error: invalid qubit state")
 
     def test_nan_inline_system_state_exit_2(self, tmp_path, capsys):
-        from waylab import cli
-
         scen = tmp_path / "scen.json"
         state = {"amplitudes": [[math.nan, 0], [1, 0]]}
         scen.write_text(json.dumps({"model": {"kind": "ud", "m": 2}, "system_state": state}))
@@ -453,8 +459,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0] + "-" + c[-1])
     def test_byte_identical_reruns(self, case):
-        first = run_cli(*case)
-        second = run_cli(*case)
+        # two fresh interpreters: nothing carried over in one process can make them agree
+        first = run_cli_cold(*case)
+        second = run_cli_cold(*case)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_density, random_pure
 from oracles import (coherent_amplitudes_resumming, composite_order,
                      opt_phase_norm_squared_inverse)
-from waylab.graded import (EPS_NUM, BlockDiagonal, BlockState, CompositeSpace,
+from waylab.graded import (EPS_NUM, BlockDiagonal, CompositeSpace,
                            GradedSpace, NumericalError, Observable, PureState,
                            coherent_state, g_twirl, opt_phase_state, tensor,
                            uniform_state)
@@ -129,6 +129,16 @@ class TestTensor:
         left = tm.matrix(np.kron(oa, ob)) @ tm.pure(va, vb).amplitudes
         right = tm.vector(np.kron(oa @ va, ob @ vb))
         assert np.allclose(left, right)
+
+    @pytest.mark.parametrize("factors", [
+        ([1.0], [1.0, 0.0, 0.0]), ([1.0], uniform_state(2)), ([1.0],), ([1.0], E_PLUS, [1.0]),
+        ([[1.0]], E_PLUS),
+    ], ids=["long-vector", "state-of-another-wire", "too-few", "too-many", "matrix"])
+    def test_pure_checks_each_factor_against_its_wire(self, factors):
+        # a 3-vector on the qubit wire once gave a unit "state" of two of its entries
+        tm = tensor(GradedSpace.ladder(0), QUBIT)
+        with pytest.raises(ValueError, match="do not match the wires"):
+            tm.pure(*factors)
 
 
 def _projector(space, n):
@@ -256,6 +266,31 @@ class TestGTwirl:
             g_twirl(np.diag([0.7, 0.7]), QUBIT)       # trace 1.4
         with pytest.raises(ValueError):
             g_twirl(np.diag([1.5, -0.5]), QUBIT)      # not PSD
+        # the pinching diag(0.5, 0.5) of these two is a state: only the dense check sees them
+        with pytest.raises(ValueError, match="^density matrix is not positive semidefinite: "):
+            g_twirl(np.array([[0.5, 0.9], [0.9, 0.5]]), QUBIT)
+        with pytest.raises(ValueError,
+                           match="^density matrix is not Hermitian within tolerance: "):
+            g_twirl(np.array([[0.5, 0.9], [0.0, 0.5]]), QUBIT)
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        return calls
+
+    def test_pure_twirl_runs_no_eigensolver(self, eigvalsh_calls, rng):
+        # PureState checked <psi|psi>; the blocks v_n v_n^dagger are PSD by construction
+        resource = coherent_state(3.0)
+        tensor(resource.space, QUBIT).pure(resource, E_PLUS).twirl()
+        PureState(GradedSpace((0, 1, 2), (1, 2, 1)), random_pure(rng, 4)).twirl()
+        assert eigvalsh_calls == []
+
+    def test_dense_twirl_runs_one_eigensolver_on_its_input(self, eigvalsh_calls, rng):
+        # the blocks are principal submatrices of the checked rho: no check of their own
+        sp = GradedSpace((0, 1, 2), (2, 2, 1))
+        g_twirl(random_density(rng, sp.total_dim), sp)
+        assert eigvalsh_calls == [(5, 5)]
 
 
 def _embed(space, n, block):
@@ -392,13 +427,12 @@ class TestStates:
 @pytest.mark.parametrize("build", [
     lambda: PureState(QUBIT, [math.nan, 1.0]),
     lambda: Observable(QUBIT, [[math.nan, 0.0], [0.0, 1.0]]),
-    lambda: BlockState(QUBIT, {1: np.array([[[math.nan]], [[1.0]]])}),
     lambda: g_twirl(np.array([[math.nan, 0.0], [0.0, 1.0]]), QUBIT),
     lambda: Ensemble(((math.nan, uniform_state(1).twirl()), (1.0, uniform_state(1).twirl()))),
     lambda: WayScenario(QUBIT, Observable(QUBIT, np.diag([0.0, 1.0])), (math.nan, 1.0)),
     lambda: ConversionCertificate(True, {0: math.nan}),
     lambda: ConservingUnitary(QUBIT, {1: np.array([[[math.nan]], [[1.0]]])}),
-], ids=["PureState", "Observable", "BlockState", "g_twirl", "Ensemble", "WayScenario",
+], ids=["PureState", "Observable", "g_twirl", "Ensemble", "WayScenario",
         "ConversionCertificate", "ConservingUnitary"])
 def test_nan_fails_the_tolerance_check(build):
     # every ordering comparison with NaN is false, so `err > tol` alone would pass it
@@ -409,11 +443,11 @@ def test_nan_fails_the_tolerance_check(build):
 @pytest.mark.parametrize("build, held, array", [
     (lambda a: PureState(QUBIT, a), lambda o: o.amplitudes, np.array([1.0 + 0j, 0.0])),
     (lambda a: Observable(QUBIT, a), lambda o: o.matrix, np.eye(2, dtype=complex)),
-    (lambda a: BlockState(QUBIT, {1: a}), lambda o: o.stacks[1],
+    (lambda a: BlockDiagonal(QUBIT, {1: a}), lambda o: o.stacks[1],
      np.array([[[0.5 + 0j]], [[0.5]]])),
     (lambda a: ConservingUnitary(QUBIT, {1: a}), lambda o: o.stacks[1],
      np.ones((2, 1, 1), dtype=complex)),
-], ids=["PureState", "Observable", "BlockState", "ConservingUnitary"])
+], ids=["PureState", "Observable", "BlockDiagonal", "ConservingUnitary"])
 def test_constructors_leave_the_callers_array_alone(build, held, array):
     # a complex contiguous input is what np.asarray and np.ascontiguousarray pass through uncopied
     obj = build(array)
@@ -443,18 +477,28 @@ def test_a_real_stack_is_copied_once():
     assert real.flags.writeable and real.tobytes() == before.tobytes()
 
 
-class TestBlockState:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="do not sum to one"):
-            BlockState(QUBIT, {1: np.array([[[0.6]], [[0.6]]])})
-        with pytest.raises(ValueError, match="block for charge 0 is not PSD"):
-            BlockState(QUBIT, {1: np.array([[[-0.1]], [[1.1]]])})
-
+class TestBlockDiagonal:
     def test_missing_block_is_zero(self):
         # stacks are keyed by sector dimension; a missing one holds zeros
-        bs = BlockState(GradedSpace((0, 1), (1, 2)), {1: np.array([[[1.0]]])})
+        bs = BlockDiagonal(GradedSpace((0, 1), (1, 2)), {1: np.array([[[1.0]]])})
         assert bs.sector_weight(1) == 0.0
         assert bs.block(1).shape == (2, 2)
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 1), (2, 2, 1), ()],
+                             ids=["taller", "shorter", "three-axes", "scalar"])
+    def test_matmul_rejects_dense_rows_of_another_dimension(self, shape):
+        # a taller operand once came back with its extra rows uninitialised
+        b = BlockDiagonal(QUBIT, {1: np.ones((2, 1, 1))})
+        with pytest.raises(ValueError, match="does not match space dimension 2"):
+            b @ np.ones(shape)
+
+    def test_matmul_rejects_a_block_diagonal_on_another_space(self):
+        # same sector dimensions, other charges: the stacks would line up silently
+        b = BlockDiagonal(QUBIT, {1: np.ones((2, 1, 1))})
+        other = BlockDiagonal(GradedSpace((0, 2), (1, 1)), {1: np.ones((2, 1, 1))})
+        with pytest.raises(ValueError, match="different spaces"):
+            b @ other
+        assert (b @ b).space == QUBIT
 
 
 class TestSerialization:
