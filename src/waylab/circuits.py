@@ -254,8 +254,9 @@ def build_mle_unitary(m: int) -> MeasurementModel:
     qubit = GradedSpace.qubit()
     comp = CompositeSpace.of([GradedSpace.ladder(m), qubit, qubit, qubit])
     p_plus, p_minus, p_edge = _branch_projectors(m)
+    swap = _qubit_swap(2, 0, 1)
     unitary = ConservingUnitary(comp.space, comp.lift(
-        (p_plus + p_edge, _qubit_swap(2, 0, 1)), (p_minus, np.eye(4))))
+        (p_plus, swap), (p_edge, swap), (p_minus, np.eye(4))))
     plus = _basis(1, 0)
     pointer = {"plus": plus, "minus": np.ones(4) - plus}
     init = (uniform_state(m).amplitudes, None, _basis(0), _basis(1))

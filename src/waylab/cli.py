@@ -25,7 +25,7 @@ from .convert import (ChargeDistribution, charge_distribution,
                       deterministic_convertible, frameness_entropy,
                       variance_measure)
 from .discrimination import Criterion
-from .graded import NumericalError, Observable
+from .graded import NumericalError, Observable, _integers
 from .models import (ModelReport, coherent_model, coherent_ud_success_smooth,
                      opt_phase_model, ozawa_bound, ozawa_reference_curve,
                      plus_minus_eigenstates, uniform_model)
@@ -146,15 +146,11 @@ def cmd_discriminate(args) -> int:
     if args.resource == "uniform":
         report = uniform_model(_as_int(args.param, "param"), criterion)
     elif args.resource == "coherent":
-        if args.param <= 0:
-            raise InputError("coherent resource needs param (alpha) > 0")
         report = coherent_model(args.param, criterion)
-    elif args.resource == "opt_phase":
+    else:  # opt_phase
         if criterion is not Criterion.MLE:
             raise InputError("opt_phase resource supports only the mle criterion")
         report = opt_phase_model(_as_int(args.param, "param"))
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown resource {args.resource!r}")
     payload = _report_payload(report)
     if args.effects:
         payload["result"] = serialize.discrimination_result_to_json(report.result)
@@ -224,19 +220,17 @@ _QUBIT_PRESETS = {
 
 
 def _qubit_state(spec) -> np.ndarray:
-    """A qubit vector from a preset name, a qubit-state JSON file or its dict."""
+    """A qubit vector from a preset name, or a state file or its dict on the qubit space."""
     if not isinstance(spec, dict):
         spec = str(spec)
         if spec in _QUBIT_PRESETS:
             return _QUBIT_PRESETS[spec].astype(complex)
         spec = _load_json(spec)
     try:
-        amps = np.array([complex(re, im) for re, im in spec["amplitudes"]])
+        return serialize.state_from_json(
+            {"charges": [0, 1], "sector_dims": [1, 1], **spec}).amplitudes
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid qubit state: {exc}") from exc
-    if amps.shape != (2,) or not abs(np.linalg.norm(amps) - 1.0) <= 1e-6:  # nan too
-        raise InputError("qubit state must be a normalized two-component vector")
-    return amps / np.linalg.norm(amps)
 
 
 _BUILDERS = {"ud": build_ud_unitary, "mle": build_mle_unitary,
@@ -244,8 +238,6 @@ _BUILDERS = {"ud": build_ud_unitary, "mle": build_mle_unitary,
 
 
 def cmd_circuit(args) -> int:
-    if args.m < 1:
-        raise InputError("m must be >= 1")
     model = _BUILDERS[args.kind](args.m)
     if args.manifest:
         manifest = model_manifest(model)
@@ -287,12 +279,10 @@ def cmd_ozawa(args) -> int:
     if "model" in obj:
         spec = obj["model"]
         try:
-            kind, m = spec["kind"], int(spec["m"])
+            kind, (m,) = spec["kind"], _integers([spec["m"]], "m")
             builder = _BUILDERS[kind]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"invalid model spec: {exc}") from exc
-        if m < 1:
-            raise InputError("m must be >= 1")
         model = builder(m)
         vec = _qubit_state(obj.get("system_state", "e+"))
         rho = np.outer(vec, vec.conj())
@@ -404,8 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a bare MemoryError
         return EXIT_INPUT
 
 

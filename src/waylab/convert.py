@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graded import EPS_NUM, NumericalError, PureState, _require
+from .graded import EPS_NUM, NumericalError, PureState, _integers, _require
 
 FEASIBILITY_TOL = 1e-8
 
@@ -55,16 +55,14 @@ class ChargeDistribution:
     probs: dict[int, float]
 
     def __post_init__(self):
-        if not self.probs:
-            raise ValueError("distribution has empty support")
         clean: dict[int, float] = {}
-        for n, p in self.probs.items():
+        for n, p in zip(_integers(self.probs, "charge"), self.probs.values()):
             p = float(p)
             if not math.isfinite(p):
                 raise ValueError(f"non-finite probability at charge {n}")
             _require(-p, EPS_NUM, f"negative probability at charge {n}")
             if p > 0.0:
-                clean[int(n)] = p
+                clean[n] = p
         if not clean:
             raise ValueError("distribution has empty support")
         _require(abs(math.fsum(clean.values()) - 1.0), EPS_NUM,

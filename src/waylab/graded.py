@@ -23,18 +23,29 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 EPS_NUM = 1e-10
+COHERENT_TAIL_MASS = 1e-12
 
 
 def _require(err: float, tol: float, what: str, exc: type[Exception] = ValueError) -> None:
     """Raise ``exc`` naming ``err`` and ``tol`` unless ``err <= tol``, so a NaN fails too."""
     if not err <= tol:
         raise exc(f"{what}: {err:.3g} exceeds tolerance {tol:g}")
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` through ``operator.index``: a non-integer (1.7, 2.0) raises a ValueError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ValueError(f"{what} must be an integer, got {bad!r}") from None
 
 
 __all__ = [
@@ -80,6 +91,8 @@ class GradedSpace:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "charges", _integers(self.charges, "charge"))
+        object.__setattr__(self, "dims", _integers(self.dims, "sector dimension"))
         if len(self.charges) != len(self.dims) or not self.charges:
             raise ValueError("charges and dims must be non-empty and aligned")
         if any(d <= 0 for d in self.dims):
@@ -136,11 +149,8 @@ class GradedSpace:
     @staticmethod
     def from_charge_list(labels) -> "GradedSpace":
         """Space whose basis carries the given (unsorted) integer charges."""
-        labels = np.asarray(labels).astype(np.int64)
-        if not labels.size:
-            raise ValueError("empty charge list")
         charges, dims = np.unique(labels, return_counts=True)
-        return GradedSpace(tuple(charges.tolist()), tuple(dims.tolist()))
+        return GradedSpace(charges.tolist(), dims.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,18 +380,16 @@ def uniform_state(max_charge: int) -> PureState:
     return PureState(GradedSpace.ladder(max_charge), amps)
 
 
-def coherent_state(alpha: float, tail_mass: float = 1e-12) -> PureState:
+def coherent_state(alpha: float) -> PureState:
     """Zero-phase coherent state, truncated by Poisson tail mass.
 
     The cutoff is the smallest C such that the discarded Poisson(alpha^2) mass
-    beyond C is below ``tail_mass``; the kept amplitudes are renormalized so
+    beyond C is below ``COHERENT_TAIL_MASS``; the kept amplitudes are renormalized so
     the state is exactly unit norm.  Raises :class:`NumericalError` when
     exp(-alpha^2) is not a normal float (alpha^2 above ~708).
     """
     if not 0.0 <= alpha < math.inf:  # NaN fails too
         raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    if not 0 < tail_mass < 1:
-        raise ValueError("tail_mass must be in (0, 1)")
     lam = alpha * alpha
     pmf = [math.exp(-lam)]
     # the recursion carries the first term's relative error into every term,
@@ -394,7 +402,7 @@ def coherent_state(alpha: float, tail_mass: float = 1e-12) -> PureState:
     # int division rounds correctly, so kept / _SUBNORMAL_UNITS equals
     # math.fsum(pmf) bit for bit without re-summing the list
     kept = _subnormal_units(pmf[0])
-    while 1.0 - kept / _SUBNORMAL_UNITS >= tail_mass:
+    while 1.0 - kept / _SUBNORMAL_UNITS >= COHERENT_TAIL_MASS:
         pmf.append(pmf[-1] * lam / len(pmf))
         if pmf[-1] == 0.0:  # the terms underflowed: nothing more can be added
             raise NumericalError("truncation did not converge")

@@ -39,8 +39,7 @@ def space_to_json(space: GradedSpace) -> dict:
 
 
 def space_from_json(obj) -> GradedSpace:
-    return GradedSpace(tuple(int(c) for c in obj["charges"]),
-                       tuple(int(d) for d in obj["sector_dims"]))
+    return GradedSpace(obj["charges"], obj["sector_dims"])
 
 
 def state_to_json(state: PureState) -> dict:

@@ -131,6 +131,20 @@ class TestTwirl:
         assert out == ""
         assert "not normalized" in err
 
+    @pytest.mark.parametrize("space, error", [
+        ({"charges": [0, 1.7], "sector_dims": [1, 1]}, "charge must be an integer, got 1.7"),
+        ({"charges": [0, 1], "sector_dims": [1, 1.9]},
+         "sector dimension must be an integer, got 1.9"),
+    ], ids=["charge", "sector-dim"])
+    def test_non_integral_space_exit_2(self, tmp_path, capsys, space, error):
+        # once read through int(), so the file twirled on charges [0, 1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**space, "amplitudes": [[0.6, 0.0], [0.8, 0.0]]}))
+        assert cli.main(["twirl", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: invalid state file: {error}\n"
+
 
 class TestConvert:
     def test_uniform_to_asbit_feasible(self, tmp_path):
@@ -245,6 +259,33 @@ class TestDiscriminateCommand:
         assert res.returncode == 3
         assert res.stderr.startswith("error: ")
         assert res.stdout == ""
+
+    def test_non_positive_alpha_exit_2(self, capsys):
+        argv = ["discriminate", "--resource", "coherent", "--param", "-1", "--criterion", "ud"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: alpha must be finite and > 0, got -1.0\n"
+
+    def test_unallocatable_ladder_exit_2(self, capsys):
+        # 7.11 PiB of amplitudes: numpy refuses the array before touching memory
+        argv = ["discriminate", "--resource", "uniform", "--param", "1e15", "--criterion", "ud"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    def test_bare_memory_error_exit_2(self, monkeypatch, capsys):
+        # Python's own MemoryError carries no message
+        def exhausted(m, criterion):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "uniform_model", exhausted)
+        argv = ["discriminate", "--resource", "uniform", "--param", "3", "--criterion", "ud"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -436,7 +477,21 @@ class TestOzawaCommand:
         assert cli.main(["ozawa", str(scen)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: qubit state must be a normalized two-component")
+        assert err.startswith("error: invalid qubit state: serialized state is not "
+                              "normalized: nan exceeds tolerance 1e-06")
+
+    @pytest.mark.parametrize("m, error", [
+        (0, "m must be >= 1"),
+        (2.9, "invalid model spec: m must be an integer, got 2.9"),
+    ], ids=["zero", "non-integral"])
+    def test_unusable_model_m_exit_2(self, tmp_path, capsys, m, error):
+        # 2.9 once ran as m = 2
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({"model": {"kind": "ud", "m": m}}))
+        assert cli.main(["ozawa", str(scen)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {error}\n"
 
     @pytest.mark.parametrize("content", ["5", "null", "[1, 2]", '"text"'],
                              ids=["int", "null", "list", "string"])

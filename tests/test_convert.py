@@ -42,7 +42,7 @@ class TestChargeDistribution:
         assert d.probs == {2: 1.0}
 
     def test_coherent_truncated_poisson(self):
-        d = charge_distribution(coherent_state(1.0, 1e-12))
+        d = charge_distribution(coherent_state(1.0))
         for n in range(4):
             assert d.probs[n] == pytest.approx(math.exp(-1.0) / math.factorial(n),
                                                abs=1e-10)
@@ -54,6 +54,11 @@ class TestChargeDistribution:
             ChargeDistribution({0: 0.6, 1: 0.6})
         with pytest.raises(ValueError):
             ChargeDistribution({0: -0.2, 1: 1.2})
+
+    def test_non_integral_charge_rejected(self):
+        # once truncated, so that this became {0: 0.5, 1: 0.5}
+        with pytest.raises(ValueError, match="charge must be an integer, got 0.4"):
+            ChargeDistribution({0.4: 0.5, 1: 0.5})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_probability_rejected(self, bad):

@@ -85,7 +85,7 @@ class TestRaynalReduce:
     def test_coherent_sector_weights(self):
         from waylab.graded import coherent_state
         alpha = 1.0
-        _, ensemble = twirled_pair_ensemble(coherent_state(alpha, 1e-12))
+        _, ensemble = twirled_pair_ensemble(coherent_state(alpha))
         sectors = sectors_of(ensemble)
         for n in range(1, 6):
             expected = 0.5 * math.exp(-1.0) * (1 / math.factorial(n)
@@ -243,7 +243,7 @@ class TestDiscriminate:
     def test_coherent_ud_closed_form(self):
         from waylab.graded import coherent_state
         from waylab.models import coherent_ud_success
-        _, ensemble = twirled_pair_ensemble(coherent_state(1.0, 1e-12))
+        _, ensemble = twirled_pair_ensemble(coherent_state(1.0))
         res = discriminate(ensemble, Criterion.UD)
         assert res.success_prob == pytest.approx(coherent_ud_success(1.0), abs=1e-10)
         assert res.success_prob == pytest.approx(1 - math.exp(-1.0), abs=1e-10)
@@ -252,7 +252,7 @@ class TestDiscriminate:
         # evaluating the assembled global POVM on the unprojected states must
         # reproduce the weighted per-sector success
         from waylab.graded import coherent_state
-        _, ensemble = twirled_pair_ensemble(coherent_state(1.3, 1e-12))
+        _, ensemble = twirled_pair_ensemble(coherent_state(1.3))
         for criterion in Criterion:
             res = discriminate(ensemble, criterion)
             direct = 0.0
@@ -273,7 +273,7 @@ class TestDiscriminate:
     @pytest.mark.parametrize("criterion", list(Criterion))
     @pytest.mark.parametrize("resource", [
         uniform_state, opt_phase_state,
-        lambda i: coherent_state(0.1 + 0.15 * (i - 1), 1e-12),
+        lambda i: coherent_state(0.1 + 0.15 * (i - 1)),
     ], ids=["uniform", "opt_phase", "coherent"])
     def test_global_effects_match_dense_assembly(self, resource, criterion):
         # the blockwise spare correction must reproduce the dense assembly bit
@@ -295,7 +295,7 @@ class TestDiscriminate:
 
     def test_success_equals_weighted_sector_sum(self):
         from waylab.graded import coherent_state
-        _, ensemble = twirled_pair_ensemble(coherent_state(2.0, 1e-12))
+        _, ensemble = twirled_pair_ensemble(coherent_state(2.0))
         res = discriminate(ensemble, Criterion.MLE)
         acc = sum(w * s for _, w, s in res.per_sector)
         assert acc == pytest.approx(res.success_prob, abs=1e-12)
@@ -326,11 +326,13 @@ class TestDiscriminate:
             spare = res.global_effects["fail" if criterion is Criterion.UD else "plus"]
             assert spare[2, 2] == 1.0
 
-    def test_ud_never_beats_mle(self, rng):
+    def test_ud_never_beats_mle(self, rng, monkeypatch):
         # merging the inconclusive outcome into either answer turns a UD POVM
         # into a two-outcome strategy, so the Helstrom value dominates
+        from waylab import graded
         from waylab.graded import coherent_state, opt_phase_state
-        resources = [uniform_state(3), coherent_state(1.2, 1e-10),
+        monkeypatch.setattr(graded, "COHERENT_TAIL_MASS", 1e-10)
+        resources = [uniform_state(3), coherent_state(1.2),
                      opt_phase_state(4)]
         for resource in resources:
             _, ens = twirled_pair_ensemble(resource)

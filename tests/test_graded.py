@@ -15,7 +15,7 @@ from waylab.graded import (EPS_NUM, BlockDiagonal, CompositeSpace,
                            GradedSpace, NumericalError, Observable, PureState,
                            coherent_state, g_twirl, opt_phase_state, tensor,
                            uniform_state)
-from waylab import serialize
+from waylab import graded, serialize
 from waylab.circuits import ConservingUnitary
 from waylab.convert import ConversionCertificate
 from waylab.discrimination import Ensemble
@@ -40,6 +40,15 @@ class TestGradedSpace:
             GradedSpace((0, 0), (1, 1))
         with pytest.raises(ValueError):
             GradedSpace((0,), (0,))
+
+    def test_rejects_non_integral_charges_and_dims(self):
+        # each of these once constructed, truncated to an integer where it was read
+        with pytest.raises(ValueError, match="charge must be an integer, got 1.7"):
+            GradedSpace((0, 1.7), (1, 1))
+        with pytest.raises(ValueError, match="sector dimension must be an integer, got 1.9"):
+            GradedSpace((0, 1), (1, 1.9))
+        with pytest.raises(ValueError, match="charge must be an integer, got 0.4"):
+            GradedSpace.from_charge_list([1, 0.4, 1])
 
     def test_from_charge_list(self):
         sp = GradedSpace.from_charge_list([2, 0, 2, 1])
@@ -301,8 +310,8 @@ def _embed(space, n, block):
 
 class TestStates:
     def test_coherent_mean_matches_alpha_squared(self):
-        alpha, tail = 1.3, 1e-12
-        st_ = coherent_state(alpha, tail)
+        alpha, tail = 1.3, graded.COHERENT_TAIL_MASS
+        st_ = coherent_state(alpha)
         cutoff = st_.space.charges[-1]
         mean = st_.space.charge_labels() @ np.abs(st_.amplitudes) ** 2
         assert abs(mean - alpha ** 2) < 10 * tail * cutoff
@@ -322,13 +331,14 @@ class TestStates:
         assert np.allclose(st_.amplitudes, [1.0])
 
     def test_coherent_ground_weight(self):
-        st_ = coherent_state(1.0, 1e-12)
+        st_ = coherent_state(1.0)
         assert abs(abs(st_.amplitudes[0]) ** 2 - math.exp(-1.0)) < 1e-10
 
-    def test_coherent_cutoff_minimal(self):
-        # cutoff is the smallest C with Poisson tail below tail_mass
+    def test_coherent_cutoff_minimal(self, monkeypatch):
+        # cutoff is the smallest C with Poisson tail below COHERENT_TAIL_MASS
         tail = 1e-6
-        st_ = coherent_state(2.0, tail)
+        monkeypatch.setattr(graded, "COHERENT_TAIL_MASS", tail)
+        st_ = coherent_state(2.0)
         c = st_.space.charges[-1]
         lam = 4.0
         pmf = [math.exp(-lam)]
@@ -343,14 +353,12 @@ class TestStates:
             with pytest.raises(ValueError, match=f"got {alpha!r}") as err:
                 coherent_state(alpha)
             assert not isinstance(err.value, NumericalError)
-        with pytest.raises(ValueError):
-            coherent_state(1.0, 0.0)
 
     def test_coherent_cutoff_minimal_at_largest_normal_start(self):
         # exp(-708) is still a normal float; the Poisson masses are summed in
         # 40-digit decimals, as float log-space terms lose ~1e-13 here
         tail, lam = 1e-12, Decimal(708)
-        st_ = coherent_state(math.sqrt(708.0), tail)
+        st_ = coherent_state(math.sqrt(708.0))
         c = st_.space.charges[-1]
         with localcontext() as ctx:
             ctx.prec = 40
@@ -362,7 +370,7 @@ class TestStates:
 
     @pytest.mark.parametrize("nbar", [0.0, 1e-3, 0.5, 2.0, 10.0, 50.0, 150.0, 300.0,
                                       450.0, 600.0, 700.0, 708.0])
-    def test_coherent_matches_resumming_reference(self, nbar):
+    def test_coherent_matches_resumming_reference(self, nbar, monkeypatch):
         # the running exact sum must place the same cutoff and give the same
         # amplitude bits as re-summing the whole pmf at every step.  Besides
         # two plain tails, try one on which the loop test holds with equality
@@ -377,7 +385,8 @@ class TestStates:
             if not 0.0 < tail < 1.0:
                 continue
             want = coherent_amplitudes_resumming(alpha, tail)
-            got = coherent_state(alpha, tail).amplitudes
+            monkeypatch.setattr(graded, "COHERENT_TAIL_MASS", tail)
+            got = coherent_state(alpha).amplitudes
             assert len(got) == len(want), tail
             assert got.tobytes() == want.astype(complex).tobytes(), tail
 

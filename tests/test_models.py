@@ -223,7 +223,7 @@ class TestMatchedMeanOrdering:
 
     def test_mean_matching_is_exact(self):
         for mean_n in (1, 2, 4, 8):
-            res = coherent_state(math.sqrt(mean_n), 1e-12)
+            res = coherent_state(math.sqrt(mean_n))
             mean = res.space.charge_labels() @ np.abs(res.amplitudes) ** 2
             assert mean == pytest.approx(mean_n, abs=1e-9)
             for state in (uniform_state(2 * mean_n),):
