@@ -2,10 +2,11 @@
 
 The models couple a system qubit (conjugate observable with eigenstates
 (|0> +/- |1>)/sqrt(2)) to a ladder resource and a small bank of register
-qubits holding one unit of charge.  Projectors onto the twirl eigenbranches
-drive register swaps, so the whole unitary is block diagonal across total
-charge sectors (conservation is structural) and the pointer - which register
-holds the excitation - commutes with the register charge (Yanase condition).
+qubits holding one unit of charge.  The optimal POVM of the twirled ensemble,
+``discriminate``'s sector effects, drives register swaps, so the whole unitary
+is block diagonal across total charge sectors (conservation is structural) and
+the pointer - which register holds the excitation - commutes with the register
+charge (Yanase condition).
 
 Wire order is (resource, system, [copy,] register qubits).  Each unitary is
 a sum of Kronecker terms, lifted straight into its total-charge blocks in the
@@ -15,14 +16,14 @@ charge-major composite basis; no dense matrix is formed.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graded import (EPS_NUM, BlockDiagonal, CompositeSpace, GradedSpace, NumericalError,
                      Observable, _check_density, _require, uniform_state)
-from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates
+from .discrimination import Criterion, discriminate
+from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates, twirled_pair_ensemble
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
 POINTER_VALUES = {"plus": 1.0, "minus": -1.0, "fail": 0.0}
@@ -186,60 +187,57 @@ class MeasurementModel:
 # building blocks
 # ---------------------------------------------------------------------------
 
-def _branch_projectors(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Twirl-eigenbranch projectors on resource (x) system, Kronecker layout.
+class _KronView:
+    """``op`` read by Kronecker index, as ``CompositeSpace.lift`` reads its ``a``."""
 
-    P_plus/P_minus project onto span{(|n,0> +/- |n-1,1>)/sqrt(2): n=1..M},
-    P_edge onto span{|0,0>, |M,1>} (the two one-dimensional total-charge
-    sectors where the two twirled states coincide).
-    """
-    dim = 2 * (m + 1)
-    r = 1.0 / math.sqrt(2.0)
-    h = r * r  # each entry of the outer products of (|n,0> +/- |n-1,1>)/sqrt(2)
-    n0, n1 = np.arange(2, dim, 2), np.arange(1, dim - 1, 2)  # |n,0> and |n-1,1>, n = 1..M
-    p_plus, p_minus, p_edge = np.zeros((3, dim, dim))
-    for p, cross in ((p_plus, h), (p_minus, -h)):
-        p[n0, n0] = p[n1, n1] = h
-        p[n0, n1] = p[n1, n0] = cross
-    p_edge[0, 0] = p_edge[-1, -1] = 1.0
-    return p_plus, p_minus, p_edge
+    def __init__(self, op: BlockDiagonal, position: np.ndarray):
+        self.op, self.position = op, position  # position: composite index of a Kronecker index
+
+    def __getitem__(self, key: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        return self.op.entries(*(self.position[k] for k in key))
 
 
 def _qubit_swap(num_wires: int, i: int, j: int) -> np.ndarray:
-    """Full SWAP of register qubits i and j (0-based) on a bank of num_wires.
-
-    The identity with the row axes of qubits i and j transposed.
-    """
+    """SWAP of qubits i and j (0-based) of a bank of num_wires: the identity, their rows swapped."""
     eye = np.eye(1 << num_wires).reshape((2,) * (2 * num_wires))
     return eye.swapaxes(i, j).reshape(1 << num_wires, 1 << num_wires)
 
 
-def _basis(*bits: int) -> np.ndarray:
-    """The computational basis vector |bits> of len(bits) qubits, as 0/1 floats."""
-    out = np.zeros(1 << len(bits))
-    out[int("".join(map(str, bits)), 2)] = 1.0
-    return out
+def _readout(m: int, criterion: Criterion, *idle: np.ndarray) -> tuple:
+    """The optimal readout of the uniform resource, as composite, sector stacks, pointer, init.
+
+    ``discriminate``'s effects control a bank of one register qubit per outcome, the
+    last one starting excited: effect i swaps that excitation into register i, which
+    the pointer then reads (every other configuration reads as the last outcome).
+    ``idle`` are the start vectors of qubit wires between the system and the bank.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    resource = uniform_state(m)
+    tm, ensemble = twirled_pair_ensemble(resource)
+    effects = discriminate(ensemble, criterion).effects
+    r, n, qubit = len(effects), len(idle) + len(effects), GradedSpace.qubit()
+    comp = CompositeSpace.of([resource.space, qubit, *(qubit,) * n])
+    position = np.argsort(tm.kron_index)
+    stacks = comp.lift(*((_KronView(eff, position), _qubit_swap(n, n - r + i, n - 1))
+                         for i, eff in enumerate(effects.values())))
+    *labels, last = effects
+    pointer = dict(zip(labels, np.eye(1 << r)[1 << np.arange(r - 1, 0, -1)]))
+    pointer[last] = np.ones(1 << r) - sum(pointer.values())
+    return comp, stacks, pointer, (resource.amplitudes, None, *idle,
+                                   *np.eye(2)[[0] * (r - 1) + [1]])
 
 
 def build_ud_unitary(m: int) -> MeasurementModel:
     """Unambiguous-readout circuit with three register qubits.
 
-    The branch projectors control full register swaps: the '+' branch swaps
-    registers 1,3 and the '-' branch registers 2,3, so the single excitation
+    The UD effects control full register swaps: the '+' effect swaps
+    registers 1,3 and the '-' effect registers 2,3, so the single excitation
     of the |001> start state ends in the register naming the outcome, and the
-    two edge-sector components leave it in place (inconclusive).
+    inconclusive effect (the two edge sectors) leaves it in place.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    qubit = GradedSpace.qubit()
-    comp = CompositeSpace.of([GradedSpace.ladder(m), qubit, qubit, qubit, qubit])
-    p_plus, p_minus, p_edge = _branch_projectors(m)
-    unitary = ConservingUnitary(comp.space, comp.lift(
-        (p_edge, np.eye(8)), (p_minus, _qubit_swap(3, 1, 2)), (p_plus, _qubit_swap(3, 0, 2))))
-    plus, minus = _basis(1, 0, 0), _basis(0, 1, 0)
-    pointer = {"plus": plus, "minus": minus, "fail": np.ones(8) - plus - minus}
-    init = (uniform_state(m).amplitudes, None, _basis(0), _basis(0), _basis(1))
-    return MeasurementModel("ud", m, comp, init, unitary, pointer)
+    comp, stacks, pointer, init = _readout(m, Criterion.UD)
+    return MeasurementModel("ud", m, comp, init, ConservingUnitary(comp.space, stacks), pointer)
 
 
 def build_mle_unitary(m: int) -> MeasurementModel:
@@ -249,18 +247,8 @@ def build_mle_unitary(m: int) -> MeasurementModel:
     sectors) swaps the excitation of the |01> start state into register 1;
     the '-' branch leaves it in register 2.  Pointer: 10 -> plus, 01 -> minus.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    qubit = GradedSpace.qubit()
-    comp = CompositeSpace.of([GradedSpace.ladder(m), qubit, qubit, qubit])
-    p_plus, p_minus, p_edge = _branch_projectors(m)
-    swap = _qubit_swap(2, 0, 1)
-    unitary = ConservingUnitary(comp.space, comp.lift(
-        (p_plus, swap), (p_edge, swap), (p_minus, np.eye(4))))
-    plus = _basis(1, 0)
-    pointer = {"plus": plus, "minus": np.ones(4) - plus}
-    init = (uniform_state(m).amplitudes, None, _basis(0), _basis(1))
-    return MeasurementModel("mle", m, comp, init, unitary, pointer)
+    comp, stacks, pointer, init = _readout(m, Criterion.MLE)
+    return MeasurementModel("mle", m, comp, init, ConservingUnitary(comp.space, stacks), pointer)
 
 
 def build_repeatable_variant(m: int) -> MeasurementModel:
@@ -272,32 +260,15 @@ def build_repeatable_variant(m: int) -> MeasurementModel:
     copy's relative phase (making it the '-' eigenstate) and then swaps it in.
     On the inconclusive outcome nothing is restored.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    qubit = GradedSpace.qubit()
-    comp = CompositeSpace.of([GradedSpace.ladder(m), qubit, qubit, qubit, qubit, qubit])
-    p_plus, p_minus, p_edge = _branch_projectors(m)
-    eye2, eye8 = np.eye(2), np.eye(8)
-    v1 = BlockDiagonal(comp.space, comp.lift(
-        (p_edge, np.kron(eye2, eye8)), (p_minus, np.kron(eye2, _qubit_swap(3, 1, 2))),
-        (p_plus, np.kron(eye2, _qubit_swap(3, 0, 2)))))
-
-    eye_r = np.eye(m + 1)
-    swap_sc = _qubit_swap(2, 0, 1)
-    phase_then_swap = swap_sc @ np.kron(eye2, np.diag([1.0, -1.0]))
-    plus, minus = _basis(1, 0, 0), _basis(0, 1, 0)
-    q_plus, q_minus = np.diag(plus), np.diag(minus)
-    q_rest = eye8 - q_plus - q_minus
-    v2 = BlockDiagonal(comp.space, comp.lift(
-        (eye_r, np.kron(swap_sc, q_plus)), (eye_r, np.kron(phase_then_swap, q_minus)),
-        (eye_r, np.kron(np.eye(4), q_rest))))
-
-    pointer = {"plus": plus, "minus": minus, "fail": np.ones(8) - plus - minus}
     plus_vec, _ = plus_minus_eigenstates()
-    init = (uniform_state(m).amplitudes, None, plus_vec.astype(complex),
-            _basis(0), _basis(0), _basis(1))
-    return MeasurementModel("repeatable", m, comp, init,
-                            ConservingUnitary(comp.space, (v2 @ v1).stacks), pointer)
+    comp, v1, pointer, init = _readout(m, Criterion.UD, plus_vec.astype(complex))
+    swap_sc, eye_r = _qubit_swap(2, 0, 1), np.eye(m + 1)
+    restore = {"plus": swap_sc, "minus": swap_sc @ np.kron(np.eye(2), np.diag([1.0, -1.0])),
+               "fail": np.eye(4)}  # on '-', flip the copy's phase, then swap it in
+    v2 = BlockDiagonal(comp.space, comp.lift(*((eye_r, np.kron(restore[label], np.diag(mask)))
+                                               for label, mask in pointer.items())))
+    return MeasurementModel("repeatable", m, comp, init, ConservingUnitary(
+        comp.space, (v2 @ BlockDiagonal(comp.space, v1)).stacks), pointer)
 
 
 # ---------------------------------------------------------------------------

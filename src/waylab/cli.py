@@ -227,10 +227,13 @@ def _qubit_state(spec) -> np.ndarray:
             return _QUBIT_PRESETS[spec].astype(complex)
         spec = _load_json(spec)
     try:
-        return serialize.state_from_json(
+        amps = serialize.state_from_json(
             {"charges": [0, 1], "sector_dims": [1, 1], **spec}).amplitudes
+        if len(amps) != 2:  # a file may name a larger space of its own
+            raise ValueError(f"a qubit state has exactly 2 amplitudes, got {len(amps)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid qubit state: {exc}") from exc
+    return amps
 
 
 _BUILDERS = {"ud": build_ud_unitary, "mle": build_mle_unitary,
@@ -300,9 +303,9 @@ def cmd_ozawa(args) -> int:
     try:
         sys_space = serialize.space_from_json(obj["system_space"])
         app_space = serialize.space_from_json(obj["apparatus_space"])
-        l_mat = np.array([[complex(re, im) for re, im in row] for row in obj["L"]])
-        sys_amp = np.array([complex(re, im) for re, im in obj["system_state"]])
-        app_amp = np.array([complex(re, im) for re, im in obj["apparatus_state"]])
+        l_mat = serialize._complex_array(obj["L"], 2)
+        sys_amp = serialize._complex_array(obj["system_state"], 1)
+        app_amp = serialize._complex_array(obj["apparatus_state"], 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid scenario file: {exc}") from exc
     try:

@@ -271,12 +271,11 @@ def mle_two_states(rho_plus: np.ndarray, rho_minus: np.ndarray, p_plus: np.ndarr
 
     The optimal POVM is projective: P+ projects onto the nonnegative
     eigenspace of p+ rho+ - p- rho- (zero eigenvalues counted as plus, which
-    leaves the success probability unchanged), P- is its complement.
+    leaves the success probability unchanged), P- onto the negative one.
     """
     rp, rm, p_plus, p_minus = _check_stacks(rho_plus, rho_minus, p_plus, p_minus)
     vals, vecs = np.linalg.eigh(p_plus[:, None, None] * rp - p_minus[:, None, None] * rm)
-    proj_plus = _projectors(vecs, vals >= 0.0)
-    proj_minus = np.eye(rp.shape[1]) - proj_plus
+    proj_plus, proj_minus = _projectors(vecs, vals >= 0.0), _projectors(vecs, vals < 0.0)
     success = p_plus * _trace(rp @ proj_plus) + p_minus * _trace(rm @ proj_minus)
     return {"plus": proj_plus, "minus": proj_minus}, success
 

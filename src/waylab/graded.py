@@ -251,6 +251,21 @@ class BlockDiagonal:
     def sector_weight(self, n: int) -> float:
         return float(np.trace(self.block(n)).real)
 
+    @functools.cached_property
+    def _band(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's entries in its sector, then zeros, as a (d, max dim + 1) band; and starts."""
+        band = np.zeros((self.space.total_dim, max(self.space.dims) + 1), dtype=complex)
+        start = np.empty(self.space.total_dim, np.int64)
+        for k, (_, idx) in self.space.groups.items():
+            band[idx, :k], start[idx] = self.stacks[k], idx[:, :1]
+        return band, start
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``to_dense()[rows, cols]`` for broadcastable indices >= 0, without the dense matrix."""
+        band, start = self._band
+        # a column outside the row's sector lands on a zero: -1 below it, past its dimension above
+        return band[rows, np.minimum(np.maximum(cols - start[rows], -1), band.shape[1] - 1)]
+
     def to_dense(self) -> np.ndarray:
         d = self.space.total_dim
         out = np.zeros((d, d), dtype=complex)
@@ -417,8 +432,8 @@ _SUBNORMAL_UNITS = 1 << 1074
 
 def _subnormal_units(x: float) -> int:
     """x as an exact integer multiple of 2**-1074 (for 0 <= x <= 1)."""
-    num, den = x.as_integer_ratio()
-    return num * (_SUBNORMAL_UNITS // den)
+    num, den = x.as_integer_ratio()  # den is a power of two, 2**(den.bit_length() - 1)
+    return num << (1075 - den.bit_length())
 
 
 def opt_phase_state(max_charge: int) -> PureState:

@@ -30,6 +30,14 @@ def _complex_pair(z: complex) -> list[float]:
     return [round_sig(z.real), round_sig(z.imag)]
 
 
+def _complex_array(pairs, ndim: int) -> np.ndarray:
+    """The ``ndim``-dimensional complex array whose entries are given as [re, im] number pairs."""
+    arr = np.asarray(pairs)
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or arr.dtype.kind not in "biuf":
+        raise ValueError(f"expected [re, im] number pairs nested {ndim} deep")
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[_complex_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
@@ -50,7 +58,7 @@ def state_to_json(state: PureState) -> dict:
 
 def state_from_json(obj) -> PureState:
     space = space_from_json(obj)
-    amps = np.array([complex(re, im) for re, im in obj["amplitudes"]], dtype=complex)
+    amps = _complex_array(obj["amplitudes"], 1)
     # normalize away the 12-digit serialization rounding, nothing more
     norm = np.linalg.norm(amps)
     _require(abs(norm - 1.0), 1e-6, "serialized state is not normalized")

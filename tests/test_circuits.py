@@ -238,9 +238,19 @@ class TestSectorBlocks:
 
     @pytest.mark.parametrize("m", [*range(1, 40), 64, 100, 200])
     def test_branch_projectors_hold_the_outer_product_bits(self, m):
-        from waylab.circuits import _branch_projectors
-        for got, want in zip(_branch_projectors(m), outer_product_projectors(m)):
-            assert got.tobytes() == want.tobytes()
+        # the builders' controls: discriminate's effects on the uniform resource,
+        # here placed in the Kronecker layout of resource (x) system
+        tm, ensemble = twirled_pair_ensemble(uniform_state(m))
+        inv = np.argsort(tm.kron_index)
+        p_plus, p_minus, p_edge = outer_product_projectors(m)
+        for criterion, want in ((Criterion.UD, (p_plus, p_minus, p_edge)),
+                                (Criterion.MLE, (p_plus + p_edge, p_minus))):
+            effects = discriminate(ensemble, criterion).effects
+            assert len(effects) == len(want)
+            for eff, proj in zip(effects.values(), want):
+                got = eff.to_dense()[np.ix_(inv, inv)]
+                assert got.real.tobytes() == proj.tobytes()
+                assert got.imag.tobytes() == np.zeros_like(proj).tobytes()  # +0.0 throughout
 
     def test_lift_matches_the_blocks_of_the_dense_kronecker_product(self, rng):
         # b acts on the last wire; the composite mixes sectors of several dimensions
@@ -286,7 +296,7 @@ class TestSectorBlocks:
             signal.signal(signal.SIGALRM, previous)
         assert deviation <= EPS_NUM
         assert yanase == 0.0
-        assert peak < 256 * 2 ** 20
+        assert peak < 160 * 2 ** 20
 
 
 @pytest.mark.parametrize("rho, message", [
@@ -482,8 +492,7 @@ class TestEqSevenSectorAction:
             reg_weights = np.sum(np.abs(out) ** 2, axis=0)
             assert np.sum(reg_weights > 1e-12) <= 2   # branch superpositions
         # and each pure branch vector routes to a single configuration
-        from waylab.circuits import _branch_projectors
-        p_plus, p_minus, p_edge = _branch_projectors(m)
+        p_plus, p_minus, p_edge = outer_product_projectors(m)
         for proj, target in ((p_plus, 0b100), (p_minus, 0b010), (p_edge, 0b001)):
             vals, vecs = np.linalg.eigh(proj)
             for col in np.where(vals > 0.5)[0]:

@@ -367,6 +367,17 @@ class TestCircuitCommand:
         minus = payload["outcomes"]["minus"]
         assert minus["post_state_fidelity_to_input"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("charges", [[0, 1, 2], [0, 1, 1]], ids=["three-charges", "2d-sector"])
+    def test_input_with_three_amplitudes_exit_2(self, tmp_path, capsys, charges):
+        # a state file that names its own space is read on it, then rejected as a qubit
+        space = serialize.space_to_json(GradedSpace.from_charge_list(charges))
+        state = tmp_path / "three.json"
+        state.write_text(json.dumps({**space, "amplitudes": [[0.6, 0], [0.8, 0], [0, 0]]}))
+        assert cli.main(["circuit", "--kind", "ud", "--m", "2", "--input", str(state)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid qubit state: a qubit state has exactly 2 amplitudes, got 3\n"
+
     def test_invalid_kind_exit_2(self):
         res = run_cli("circuit", "--kind", "bogus", "--m", "2")
         assert res.returncode == 2
@@ -469,6 +480,36 @@ class TestOzawaCommand:
         res = run_cli("ozawa", str(scen))
         assert res.returncode == 2
         assert res.stderr.startswith("error: invalid qubit state")
+
+    def test_inline_system_state_with_three_amplitudes_exit_2(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        state = {"charges": [0, 1, 2], "sector_dims": [1, 1, 1],
+                 "amplitudes": [[0.6, 0], [0, 0], [0.8, 0]]}
+        scen.write_text(json.dumps({"model": {"kind": "mle", "m": 2}, "system_state": state}))
+        assert cli.main(["ozawa", str(scen)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid qubit state: a qubit state has exactly 2 amplitudes, got 3\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("L", [[[0, 0, 7], [1, 0]], [[1, 0], [0, 0]]]),
+        ("L", [[[0, 0, 7], [1, 0, 0]], [[1, 0, 0], [0, 0, 0]]]),
+        ("L", [[0, 1], [1, 0]]),
+        ("system_state", [[0.6, 0.0], [0.8, "0"]]),
+        ("apparatus_state", [0.6, 0.8]),
+    ], ids=["one-triple", "all-triples", "bare-numbers", "string-part", "flat-state"])
+    def test_bound_only_malformed_pairs_exit_2(self, tmp_path, capsys, field, value):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({
+            "system_space": {"charges": [0, 1], "sector_dims": [1, 1]},
+            "apparatus_space": {"charges": [0, 1], "sector_dims": [1, 1]},
+            "L": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+            "system_state": [[0.6, 0.0], [0.8, 0.0]],
+            "apparatus_state": [[0.6, 0.0], [0.8, 0.0]], field: value}))
+        assert cli.main(["ozawa", str(scen)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid scenario file: ")
 
     def test_nan_inline_system_state_exit_2(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"

@@ -1,7 +1,9 @@
 import math
+import sys
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -399,6 +401,15 @@ class TestStates:
             coherent_state(math.sqrt(nbar))
         assert time.perf_counter() - t0 < 0.5
 
+    @given(st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_subnormal_units_are_exact(self, x):
+        assert graded._subnormal_units(x) == Fraction(x) * 2 ** 1074
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, sys.float_info.min, 1.0])
+    def test_subnormal_units_at_the_edges(self, x):
+        assert graded._subnormal_units(x) == Fraction(x) * 2 ** 1074
+
     def test_opt_phase_m0_and_m1(self):
         assert np.allclose(opt_phase_state(0).amplitudes, [1.0])
         assert np.allclose(opt_phase_state(1).amplitudes, [1 / math.sqrt(2)] * 2)
@@ -500,6 +511,19 @@ class TestBlockDiagonal:
         b = BlockDiagonal(QUBIT, {1: np.ones((2, 1, 1))})
         with pytest.raises(ValueError, match="does not match space dimension 2"):
             b @ np.ones(shape)
+
+    def test_entries_hold_the_dense_bits(self, rng):
+        # sectors of several dimensions, signed zeros inside the blocks, +0.0 between them
+        space = GradedSpace((-1, 0, 2, 3, 5), (2, 1, 3, 2, 1))
+        stacks = {k: rng.normal(size=(len(c), k, k)) + 1j * rng.normal(size=(len(c), k, k))
+                  for k, (c, _) in space.groups.items()}
+        stacks[2][0, 0, 1] = -0.0
+        b = BlockDiagonal(space, stacks)
+        dense, d = b.to_dense(), space.total_dim
+        rows, cols = rng.integers(0, d, size=(2, 7, 5))
+        for r, c in ((rows, cols), (rows[:, :, None], cols[:, None, :]),
+                     (np.arange(d)[:, None], np.arange(d)), (3, 4), (4, 4)):
+            assert b.entries(r, c).tobytes() == dense[r, c].tobytes()
 
     def test_matmul_rejects_a_block_diagonal_on_another_space(self):
         # same sector dimensions, other charges: the stacks would line up silently

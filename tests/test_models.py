@@ -4,10 +4,14 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure
 from oracles import coherent_mle_log_series, supports_orthogonal
-from waylab.discrimination import Criterion, perfect_discrimination_possible
+from waylab.convert import (ChargeDistribution, Comparison, compare,
+                            deterministic_convertible)
+from waylab.discrimination import Criterion, discriminate, perfect_discrimination_possible
 from waylab.graded import (BlockDiagonal, GradedSpace, NumericalError, Observable,
                            PureState, coherent_state, g_twirl, tensor, uniform_state)
 from waylab.models import (ModelReport, Verdict, WayScenario, coherent_mle_success,
@@ -393,3 +397,62 @@ class TestReferenceCurves:
             ModelReport(Criterion.UD, "uniform", 2.0, 1.0,
                         res.success_prob, res.success_prob + 1e-3,
                         res.fail_prob, None, res)
+
+
+def _distributions(min_size, max_size, span):
+    """Charge distributions on ``min_size``..``max_size`` distinct charges in 0..span."""
+    return st.lists(st.tuples(st.integers(0, span), st.floats(0.05, 1.0)), min_size=min_size,
+                    max_size=max_size, unique_by=lambda t: t[0]).map(
+        lambda pairs: {n: w / math.fsum(w for _, w in pairs) for n, w in pairs})
+
+
+def _resource(probs):
+    """The pure resource with charge distribution ``probs``: amplitude sqrt(p_n) per charge."""
+    charges = sorted(probs)
+    return PureState(GradedSpace(charges, (1,) * len(charges)),
+                     np.sqrt([probs[n] for n in charges]))
+
+
+def _readout(probs, criterion):
+    return discriminate(twirled_pair_ensemble(_resource(probs))[1], criterion)
+
+
+class TestResourceOrder:
+    """Readout success follows the resource theory's conversion order and ignores charge shifts."""
+
+    @given(_distributions(1, 5, 6), _distributions(1, 4, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_success_is_monotone_under_deterministic_conversion(self, q, w):
+        # p = w * q is a mixture of translates of q, so a covariant channel turns the
+        # p resource into the q resource; it commutes with the twirl, so no readout
+        # can do better with q than with p
+        p: dict[int, float] = {}
+        for k, wk in w.items():
+            for n, qn in q.items():
+                p[n + k] = p.get(n + k, 0.0) + wk * qn
+        assert deterministic_convertible(ChargeDistribution(p), ChargeDistribution(q)).feasible
+        equivalent = compare(_resource(p), _resource(q)) is Comparison.EQUIVALENT
+        assert equivalent == (len(w) == 1)  # only a pure translate converts back
+        for criterion in Criterion:
+            with_p = _readout(p, criterion).success_prob
+            with_q = _readout(q, criterion).success_prob
+            assert with_p >= with_q - 1e-12
+            if equivalent:
+                assert with_p == with_q
+
+    @given(_distributions(1, 6, 8), st.integers(-40, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_a_charge_shift_changes_only_the_charge_labels(self, p, shift):
+        # charges are defined up to a global offset: shifting the resource moves every
+        # sector's label and nothing else, down to the bits of the effects
+        shifted = {n + shift: pn for n, pn in p.items()}
+        for criterion in Criterion:
+            a, b = _readout(p, criterion), _readout(shifted, criterion)
+            assert b.success_prob == a.success_prob
+            assert b.fail_prob == a.fail_prob
+            assert b.per_sector == tuple((c + shift, w, s) for c, w, s in a.per_sector)
+            assert list(b.effects) == list(a.effects)
+            for label, eff in a.effects.items():
+                assert b.effects[label].stacks.keys() == eff.stacks.keys()
+                for k, stack in eff.stacks.items():
+                    assert b.effects[label].stacks[k].tobytes() == stack.tobytes()
