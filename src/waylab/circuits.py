@@ -24,6 +24,7 @@ from .graded import (EPS_NUM, BlockDiagonal, CompositeSpace, GradedSpace, Numeri
                      Observable, _check_density, _require, uniform_state)
 from .discrimination import Criterion, discriminate
 from .models import noise_of_model, ozawa_bound, plus_minus_eigenstates, twirled_pair_ensemble
+from .serialize import _complex_pair, round_sig, space_to_json
 
 PLUS_MINUS_OBSERVABLE = np.array([[0.0, 1.0], [1.0, 0.0]])  # |e+><e+| - |e-><e-|
 POINTER_VALUES = {"plus": 1.0, "minus": -1.0, "fail": 0.0}
@@ -78,7 +79,9 @@ class MeasurementModel:
     where the input goes.  ``pointer`` maps outcome labels to diagonal 0/1
     vectors over the register-bank Kronecker basis (they partition it); the
     register wires are the trailing ``register_count`` qubit wires, a count
-    read off the mask length.
+    read off the mask length.  Models come from the three builders
+    (``build_ud_unitary``, ``build_mle_unitary``, ``build_repeatable_variant``),
+    which start every register in a charge eigenstate; nothing re-checks that.
     """
 
     kind: str
@@ -87,16 +90,6 @@ class MeasurementModel:
     init: tuple[np.ndarray | None, ...]
     unitary: ConservingUnitary
     pointer: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        # register bank must start in a sharp charge state (symmetric input)
-        for i in range(len(self.composite.wires) - self.register_count,
-                       len(self.composite.wires)):
-            labels = self.composite.wires[i].charge_labels()
-            support = {int(c) for c, a in zip(labels, self.init[i])
-                       if abs(a) > EPS_NUM}
-            if len(support) != 1:
-                raise ValueError("register wire does not start in a charge eigenstate")
 
     @property
     def system_wire(self) -> int:
@@ -149,12 +142,6 @@ class MeasurementModel:
                          for w, vec in zip(self.composite.wires, self.init))
         return supports, self._kron_position[np.ix_(*supports)].ravel()
 
-    def system_operator_full(self, op: np.ndarray) -> np.ndarray:
-        """A system-wire operator times the apparatus identity, in the composite graded basis."""
-        pos, out = self.positions, np.zeros((self.composite.space.total_dim,) * 2, dtype=complex)
-        out[pos[:, None], pos[None]] = np.asarray(op, dtype=complex)[..., None]
-        return out
-
     def initial_density_full(self, system_rho: np.ndarray) -> np.ndarray:
         """rho_system (x) apparatus-init, in the composite graded basis."""
         rho = _check_density(system_rho, self.system_space.total_dim)
@@ -171,16 +158,15 @@ class MeasurementModel:
         """Mean squared measurement noise of this model on a system input."""
         z = sum(POINTER_VALUES.get(label, 0.0) * keep
                 for label, keep in self.outcome_masks.items())
-        return noise_of_model(self.unitary, self.system_operator_full(PLUS_MINUS_OBSERVABLE), z,
-                              self.initial_density_full(system_rho))
+        pos, d = self.positions, self.composite.space.total_dim
+        l_full = np.zeros((d, d), dtype=complex)
+        l_full[pos[:, None], pos[None]] = PLUS_MINUS_OBSERVABLE[..., None]  # L (x) 1, by index
+        return noise_of_model(self.unitary, l_full, z, self.initial_density_full(system_rho))
 
     def noise_bound(self, system_rho: np.ndarray) -> float:
         """Commutator lower bound evaluated on rho_system (x) apparatus init."""
-        app = self.apparatus
-        app_rho = app.pure(*(self.init[i] for i in self.apparatus_wires())).density()
-        joint = np.kron(_check_density(system_rho, self.system_space.total_dim), app_rho)
-        return ozawa_bound(Observable(self.system_space, PLUS_MINUS_OBSERVABLE),
-                           app.space, joint)
+        return ozawa_bound(Observable(self.system_space, PLUS_MINUS_OBSERVABLE), system_rho,
+                           self.apparatus.pure(*(self.init[i] for i in self.apparatus_wires())))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +314,6 @@ def verify_yanase(model: MeasurementModel) -> float:
 
 def model_manifest(model: MeasurementModel) -> dict:
     """Machine-readable description of a model (spaces, init, pointer map)."""
-    from .serialize import round_sig, space_to_json
-
     wires = []
     for i, w in enumerate(model.composite.wires):
         entry = space_to_json(w)
@@ -337,7 +321,7 @@ def model_manifest(model: MeasurementModel) -> dict:
                          else "register" if i >= len(model.composite.wires) - model.register_count
                          else "resource")
         if model.init[i] is not None:
-            entry["init"] = [[round_sig(z.real), round_sig(z.imag)] for z in model.init[i]]
+            entry["init"] = [_complex_pair(z) for z in model.init[i]]
         wires.append(entry)
     pointer = {label: [int(round(x)) for x in mask]
                for label, mask in model.pointer.items()}

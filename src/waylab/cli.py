@@ -25,7 +25,7 @@ from .convert import (ChargeDistribution, charge_distribution,
                       deterministic_convertible, frameness_entropy,
                       variance_measure)
 from .discrimination import Criterion
-from .graded import NumericalError, Observable, _integers
+from .graded import NumericalError, Observable, PureState, _integers
 from .models import (ModelReport, coherent_model, coherent_ud_success_smooth,
                      opt_phase_model, ozawa_bound, ozawa_reference_curve,
                      plus_minus_eigenstates, uniform_model)
@@ -126,16 +126,10 @@ def _report_payload(report: ModelReport) -> dict:
         "param": round_sig(report.param),
         "mean_n": round_sig(report.mean_n),
         "success_numeric": round_sig(report.success_numeric),
-        "success_closed_form": (round_sig(report.success_closed_form)
-                                if report.success_closed_form is not None else None),
-        "fail_numeric": (round_sig(report.fail_numeric)
-                         if report.fail_numeric is not None else None),
-        "asymptote": (round_sig(report.asymptote)
-                      if report.asymptote is not None else None),
-        "per_sector": [
-            {"charge": c, "weight": round_sig(w), "success": round_sig(s)}
-            for c, w, s in report.per_sector
-        ],
+        "success_closed_form": serialize._round_optional(report.success_closed_form),
+        "fail_numeric": serialize._round_optional(report.fail_numeric),
+        "asymptote": serialize._round_optional(report.asymptote),
+        "per_sector": serialize._per_sector_to_json(report.per_sector),
     }
 
 
@@ -311,14 +305,13 @@ def cmd_ozawa(args) -> int:
     try:
         obs = Observable(sys_space, l_mat)
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            joint = np.kron(np.outer(sys_amp, sys_amp.conj()),
-                            np.outer(app_amp, app_amp.conj()))
-        norm = np.trace(joint).real
+            n_s, n_a = (np.vdot(amp, amp).real for amp in (sys_amp, app_amp))
+            norm = n_s * n_a
         if not 0.0 < norm < math.inf:
             raise InputError(f"the product state's squared norm is {norm:g}; "
                              "it must be finite and nonzero")
-        joint /= norm
-        bound = ozawa_bound(obs, app_space, joint)
+        bound = ozawa_bound(obs, np.outer(sys_amp, sys_amp.conj()) / n_s,
+                            PureState(app_space, app_amp / math.sqrt(n_a)))
     except ValueError as exc:
         if "undefined" in str(exc):
             _emit({"bound": "undefined", "noise": None, "violation": None}, args)

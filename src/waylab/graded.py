@@ -144,7 +144,9 @@ class GradedSpace:
         """One-dimensional sectors for every charge 0..max_charge."""
         if max_charge < 0:
             raise ValueError("max_charge must be >= 0")
-        return GradedSpace(tuple(range(max_charge + 1)), (1,) * (max_charge + 1))
+        # numpy names the size of a ladder too large to allocate, and refuses it at once
+        charges = np.arange(max_charge + 1).tolist()
+        return GradedSpace(tuple(charges), (1,) * len(charges))
 
     @staticmethod
     def from_charge_list(labels) -> "GradedSpace":
@@ -389,10 +391,8 @@ def uniform_state(max_charge: int) -> PureState:
     The maximally asymmetric state on its support: it tops both the variance
     and entropy asymmetry measures among states confined to these sectors.
     """
-    if max_charge < 0:
-        raise ValueError("max_charge must be >= 0")
-    amps = np.full(max_charge + 1, 1.0 / math.sqrt(max_charge + 1))
-    return PureState(GradedSpace.ladder(max_charge), amps)
+    space = GradedSpace.ladder(max_charge)
+    return PureState(space, np.full(max_charge + 1, 1.0 / math.sqrt(max_charge + 1)))
 
 
 def coherent_state(alpha: float) -> PureState:
@@ -443,9 +443,7 @@ def opt_phase_state(max_charge: int) -> PureState:
     the top eigenvector of the nearest-neighbour coupling on the charge
     ladder.  Normalization is numerical.
     """
-    if max_charge < 0:
-        raise ValueError("max_charge must be >= 0")
-    n = np.arange(max_charge + 1)
-    amps = np.sin((n + 1) * math.pi / (max_charge + 2))
+    space = GradedSpace.ladder(max_charge)
+    amps = np.sin((np.arange(max_charge + 1) + 1) * math.pi / (max_charge + 2))
     amps /= np.linalg.norm(amps)
-    return PureState(GradedSpace.ladder(max_charge), amps)
+    return PureState(space, amps)

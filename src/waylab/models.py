@@ -22,7 +22,7 @@ from .discrimination import (Criterion, DiscriminationResult, Ensemble,
                              perfect_discrimination_possible)
 from .discrimination import discriminate as _discriminate
 from .graded import (EPS_NUM, BlockDiagonal, CompositeSpace, GradedSpace,
-                     NumericalError, Observable, PureState, _require,
+                     NumericalError, Observable, PureState, _check_density, _require,
                      coherent_state, opt_phase_state, tensor, uniform_state)
 
 __all__ = [
@@ -350,23 +350,22 @@ def opt_phase_model(m: int) -> ModelReport:
 # noise bound
 # ---------------------------------------------------------------------------
 
-def ozawa_bound(observable: Observable, apparatus: GradedSpace,
-                joint_state: np.ndarray) -> float:
+def ozawa_bound(observable: Observable, system_state: np.ndarray,
+                apparatus: PureState) -> float:
     """Commutator lower bound on the mean squared measurement noise.
 
-    Evaluates |<[L, N_S]>|^2 / (4 sigma(N_S)^2 + 4 sigma(N_A)^2) on the joint
-    initial state, given in the plain Kronecker layout system (x) apparatus.
+    Evaluates |<[L, N_S]>|^2 / (4 sigma(N_S)^2 + 4 sigma(N_A)^2) on the
+    product input rho_S (x) |psi_A><psi_A|, with ``system_state`` a density
+    matrix on ``observable.space`` and ``apparatus`` the pure apparatus state.
     The conserved quantities are the charges of the two spaces, N_S of
-    ``observable.space`` and N_A of ``apparatus``; they act as scalings.
+    ``observable.space`` and N_A of ``apparatus.space``; they act as scalings.
     A vanishing denominator leaves the bound undefined and raises.
     """
     ds = observable.space.total_dim
-    da = apparatus.total_dim
-    joint = np.asarray(joint_state, dtype=complex)
-    if joint.shape != (ds * da, ds * da):
-        raise ValueError("joint state does not match system x apparatus dimensions")
+    da = apparatus.space.total_dim
+    joint = np.kron(_check_density(system_state, ds), apparatus.density())
     ns = np.kron(observable.space.charge_labels(), np.ones(da))
-    na = np.kron(np.ones(ds), apparatus.charge_labels())
+    na = np.kron(np.ones(ds), apparatus.space.charge_labels())
     l_full = np.kron(observable.matrix, np.eye(da))
 
     comm = l_full * ns - ns[:, None] * l_full

@@ -26,6 +26,10 @@ def fmt(x: float) -> str:
     return f"{float(x):.{SIG_DIGITS}g}"
 
 
+def _round_optional(x: float | None) -> float | None:
+    return round_sig(x) if x is not None else None
+
+
 def _complex_pair(z: complex) -> list[float]:
     return [round_sig(z.real), round_sig(z.imag)]
 
@@ -81,19 +85,20 @@ def distribution_from_json(obj) -> dict[int, float]:
     return {int(n): float(p) for n, p in obj.items()}
 
 
+def _per_sector_to_json(rows) -> list[dict]:
+    """One {"charge", "weight", "success"} object per (charge, weight, success) row."""
+    return [{"charge": charge, "weight": round_sig(weight), "success": round_sig(success)}
+            for charge, weight, success in rows]
+
+
 def discrimination_result_to_json(result) -> dict:
     """Per-sector breakdown of a discrimination run and its global POVM
     effects in the matrix schema."""
     return {
         "criterion": result.criterion.value,
         "success_prob": round_sig(result.success_prob),
-        "fail_prob": (round_sig(result.fail_prob)
-                      if result.fail_prob is not None else None),
-        "per_sector": [
-            {"charge": charge, "weight": round_sig(weight),
-             "success": round_sig(success)}
-            for charge, weight, success in result.per_sector
-        ],
+        "fail_prob": _round_optional(result.fail_prob),
+        "per_sector": _per_sector_to_json(result.per_sector),
         "space": space_to_json(result.space),
         "effects": {label: matrix_to_json(eff)
                     for label, eff in result.global_effects.items()},

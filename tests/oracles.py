@@ -414,6 +414,32 @@ def dense_circuit_reference(model, system_rho, prob_cutoff: float = 1e-14):
             "yanase": _commutator_norm(z_app, n_a)}
 
 
+def dense_ozawa_bound(l_mat, system_space, system_rho, apparatus_space, apparatus_vec):
+    """Ozawa's bound on rho_S (x) |psi_A><psi_A|, from d x d matrices formed here.
+
+    The joint state, L (x) 1, N_S (x) 1 and 1 (x) N_A are built as dense
+    Kronecker products, with each charge operator the diagonal of its space's
+    charges repeated over their sector dimensions; then
+    |tr([L (x) 1, N_S (x) 1] rho)|^2 / (4 var(N_S (x) 1) + 4 var(1 (x) N_A)).
+    """
+    def number(space):
+        return np.diag(np.repeat(space.charges, space.dims).astype(float))
+
+    n_s, n_a = number(system_space), number(apparatus_space)
+    ds, da = len(n_s), len(n_a)
+    vec = np.asarray(apparatus_vec, dtype=complex)
+    joint = np.kron(np.asarray(system_rho, dtype=complex), np.outer(vec, vec.conj()))
+    l_full = np.kron(np.asarray(l_mat, dtype=complex), np.eye(da))
+    ns_full, na_full = np.kron(n_s, np.eye(da)), np.kron(np.eye(ds), n_a)
+    num = abs(np.trace((l_full @ ns_full - ns_full @ l_full) @ joint)) ** 2
+
+    def var(op):
+        mean = np.real(np.trace(op @ joint))
+        return np.real(np.trace(op @ op @ joint)) - mean ** 2
+
+    return float(num / (4.0 * var(ns_full) + 4.0 * var(na_full)))
+
+
 def kron_initial_density(model, system_rho):
     """rho_system (x) apparatus-init in the composite basis, from the full Kronecker form.
 

@@ -11,6 +11,7 @@ The full file takes a few minutes; criterion 9 sweeps all 330^2 deduplicated
 distribution pairs through the LP.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
-from oracles import (convertible_exact, convolution_quotient,
+from oracles import (convertible_exact, convolution_quotient, kron_initial_density,
                      simplex_grid_witness, supports_orthogonal)
 from waylab.circuits import (PLUS_MINUS_OBSERVABLE, POINTER_VALUES,
                              build_mle_unitary, build_repeatable_variant,
@@ -337,28 +338,30 @@ def test_criterion8_ozawa_inequality():
         for m in range(1, 11):
             model = builder(m)
             v = model.unitary.matrix
-            l_full = model.system_operator_full(PLUS_MINUS_OBSERVABLE)
+            comp = model.composite
+            l_full = comp.matrix(functools.reduce(np.kron, (
+                PLUS_MINUS_OBSERVABLE if i == model.system_wire else np.eye(n)
+                for i, n in enumerate(comp.wire_dims))))
             zreg = sum(POINTER_VALUES[label] * mask
                        for label, mask in model.pointer.items())
             z_full = np.diag(zreg[model.composite.kron_index % zreg.size])
             noise_op = v.conj().T @ z_full @ v - l_full
             noise_sq = noise_op @ noise_op
-            app = model.apparatus
-            app_rho = app.pure(*(model.init[i] for i in model.apparatus_wires())).density()
+            app = model.apparatus.pure(*(model.init[i] for i in model.apparatus_wires()))
+            app_rho = app.density()
             app_n = np.diag(app.space.charge_labels().astype(float))
             var_a = (np.real(np.trace(app_n @ app_n @ app_rho))
                      - np.real(np.trace(app_n @ app_rho)) ** 2)
             # cross-check the precomputed denominator against the public op once
             probe = random_density(rng, 2)
-            direct = ozawa_bound(obs, app.space, np.kron(probe, app_rho))
+            direct = ozawa_bound(obs, probe, app)
             for _ in range(100):
                 rho = random_density(rng, 2)
                 num = abs(np.trace(comm @ rho)) ** 2
                 var_s = (np.real(np.trace(n_s @ n_s @ rho))
                          - np.real(np.trace(n_s @ rho)) ** 2)
                 bound = num / (4.0 * var_s + 4.0 * var_a)
-                noise = float(np.real(np.trace(noise_sq
-                                               @ model.initial_density_full(rho))))
+                noise = float(np.real(np.trace(noise_sq @ kron_initial_density(model, rho))))
                 worst_margin = min(worst_margin, noise - bound)
                 if noise < bound - 1e-10:
                     violations += 1

@@ -469,6 +469,55 @@ class TestOzawaCommand:
         assert res.stdout == ""
         assert res.stderr.startswith("error: the product state's squared norm")
 
+    BOUND_ONLY = {
+        "system_space": {"charges": [0, 2], "sector_dims": [2, 1]},
+        "apparatus_space": {"charges": [-1, 0, 1], "sector_dims": [1, 2, 1]},
+        "L": [[[0.5, 0], [0.2, 0.3], [1, -0.4]], [[0.2, -0.3], [-1, 0], [0, 0.7]],
+              [[1, 0.4], [0, -0.7], [0.25, 0]]],
+        "system_state": [[0.3, 0.1], [-0.5, 0.2], [0.6, -0.4]],
+        "apparatus_state": [[0.1, 0.2], [0.4, -0.3], [0.5, 0.1], [-0.2, 0.6]],
+    }
+
+    def run_bound_only(self, tmp_path, **fields):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({**self.BOUND_ONLY, **fields}))
+        return run_cli("ozawa", str(scen))
+
+    @pytest.mark.parametrize("field", ["system_state", "apparatus_state"])
+    @pytest.mark.parametrize("factor", [3.0, 0.2])
+    def test_bound_only_rescaled_factor_prints_same_bytes(self, tmp_path, field, factor):
+        # each factor is normalised by its own squared norm
+        base = self.run_bound_only(tmp_path)
+        assert base.returncode == 0 and json.loads(base.stdout)["bound"] > 0
+        scaled = [[factor * re, factor * im] for re, im in self.BOUND_ONLY[field]]
+        res = self.run_bound_only(tmp_path, **{field: scaled})
+        assert (res.returncode, res.stdout, res.stderr) == (0, base.stdout, "")
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"system_state": [[0.6, 0], [0.8, 0]]},
+         "density matrix does not match space dimension"),
+        ({"apparatus_state": [[0.6, 0], [0, 0], [0.8, 0]]},
+         "amplitude vector does not match space dimension"),
+        # the joint has the right size, but neither factor fits its space
+        ({"system_state": [[0.6, 0], [0, 0], [0, 0], [0.8, 0]],
+          "apparatus_state": [[0.6, 0], [0, 0], [0.8, 0]]},
+         "amplitude vector does not match space dimension"),
+    ], ids=["system-short", "apparatus-short", "factors-swapped"])
+    def test_bound_only_amplitude_count_mismatch_exit_2(self, tmp_path, fields, error):
+        res = self.run_bound_only(tmp_path, **fields)
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {error}\n")
+
+    def test_bound_only_number_states_undefined_bound(self, tmp_path):
+        # both charge variances vanish: the bound is reported undefined, not an error
+        res = self.run_bound_only(
+            tmp_path,
+            system_space={"charges": [0, 1], "sector_dims": [1, 1]},
+            apparatus_space={"charges": [0, 1], "sector_dims": [1, 1]},
+            L=[[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+            system_state=[[1, 0], [0, 0]], apparatus_state=[[0, 0], [1, 0]])
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == '{"bound":"undefined","noise":null,"violation":null}\n'
+
     @pytest.mark.parametrize("state", [
         {"amps": [[1.0, 0.0], [0.0, 0.0]]},
         {"amplitudes": [["a", 0], [0, 0]]},

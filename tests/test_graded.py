@@ -327,6 +327,13 @@ class TestStates:
     def test_uniform_m3(self):
         assert np.allclose(uniform_state(3).amplitudes, [0.5] * 4)
 
+    @pytest.mark.parametrize("make", [GradedSpace.ladder, uniform_state, opt_phase_state],
+                             ids=["ladder", "uniform", "opt_phase"])
+    def test_negative_max_charge_rejected(self, make):
+        # the ladder's own check, reached before any 1/sqrt(0) or sin over an empty range
+        with pytest.raises(ValueError, match=r"^max_charge must be >= 0$"):
+            make(-1)
+
     def test_coherent_vacuum(self):
         st_ = coherent_state(0.0)
         assert st_.space.charges == (0,)

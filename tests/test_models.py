@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure
-from oracles import coherent_mle_log_series, supports_orthogonal
+from oracles import coherent_mle_log_series, dense_ozawa_bound, supports_orthogonal
 from waylab.convert import (ChargeDistribution, Comparison, compare,
                             deterministic_convertible)
 from waylab.discrimination import Criterion, discriminate, perfect_discrimination_possible
@@ -313,8 +313,8 @@ class TestWayFeasibility:
 class TestOzawaBound:
     def test_commuting_observable_zero_bound(self, rng):
         obs = Observable(QUBIT, np.diag([0.5, 2.5]))
-        joint = np.kron(random_density(rng, 2), random_density(rng, 3))
-        bound = ozawa_bound(obs, GradedSpace.ladder(2), joint)
+        app = PureState(GradedSpace.ladder(2), random_pure(rng, 3))
+        bound = ozawa_bound(obs, random_density(rng, 2), app)
         assert bound == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_apparatus_denominator(self):
@@ -324,8 +324,7 @@ class TestOzawaBound:
         sys_vec = np.array([1.0, 1.0j]) / math.sqrt(2)
         app = uniform_state(m)
         obs = Observable(QUBIT, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        joint = np.kron(np.outer(sys_vec, sys_vec.conj()), app.density())
-        bound = ozawa_bound(obs, app.space, joint)
+        bound = ozawa_bound(obs, np.outer(sys_vec, sys_vec.conj()), app)
         comm_sq = 1.0  # |<[X, N]>|^2 = |2 Im(conj(a) b)|^2 = 1 for this state
         denom = 4 * 0.25 + 4 * m * (m + 2) / 12
         assert bound == pytest.approx(comm_sq / denom, abs=1e-12)
@@ -335,16 +334,32 @@ class TestOzawaBound:
         app_space = GradedSpace.ladder(3)
         app_vec = np.eye(app_space.total_dim)[app_space.slice_of(2).start]
         obs = Observable(QUBIT, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        joint = np.kron(np.outer(sys_vec, sys_vec.conj()),
-                        np.outer(app_vec, app_vec.conj()))
-        bound = ozawa_bound(obs, app_space, joint)
+        bound = ozawa_bound(obs, np.outer(sys_vec, sys_vec.conj()),
+                            PureState(app_space, app_vec))
         assert bound == pytest.approx(1.0 / (4 * 0.25), abs=1e-12)
+
+    def test_agrees_with_dense_reference(self, rng):
+        # sectors of dimension up to 3 on both sides, a mixed system state and
+        # a pure apparatus state, against the joint formed densely
+        worst = 0.0
+        for _ in range(40):
+            sys_space, app_space = (
+                GradedSpace(sorted(rng.choice(np.arange(-2, 5), size=n, replace=False)),
+                            rng.integers(1, 4, size=n))
+                for n in rng.integers(2, 4, size=2))
+            ds = sys_space.total_dim
+            obs = Observable(sys_space, random_hermitian(rng, ds))
+            rho = random_density(rng, ds, rank=int(rng.integers(1, ds + 1)))
+            app_vec = random_pure(rng, app_space.total_dim)
+            got = ozawa_bound(obs, rho, PureState(app_space, app_vec))
+            want = dense_ozawa_bound(obs.matrix, sys_space, rho, app_space, app_vec)
+            worst = max(worst, abs(got - want))
+        assert worst <= 1e-12
 
     def test_zero_denominator_rejected(self):
         obs = Observable(QUBIT, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        joint = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="undefined"):
-            ozawa_bound(obs, QUBIT, joint.astype(complex))
+            ozawa_bound(obs, np.diag([1.0, 0.0]), PureState(QUBIT, np.array([1.0, 0.0])))
 
 
 def one_sector(unitary):
