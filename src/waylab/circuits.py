@@ -173,16 +173,6 @@ class MeasurementModel:
 # building blocks
 # ---------------------------------------------------------------------------
 
-class _KronView:
-    """``op`` read by Kronecker index, as ``CompositeSpace.lift`` reads its ``a``."""
-
-    def __init__(self, op: BlockDiagonal, position: np.ndarray):
-        self.op, self.position = op, position  # position: composite index of a Kronecker index
-
-    def __getitem__(self, key: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return self.op.entries(*(self.position[k] for k in key))
-
-
 def _qubit_swap(num_wires: int, i: int, j: int) -> np.ndarray:
     """SWAP of qubits i and j (0-based) of a bank of num_wires: the identity, their rows swapped."""
     eye = np.eye(1 << num_wires).reshape((2,) * (2 * num_wires))
@@ -200,12 +190,11 @@ def _readout(m: int, criterion: Criterion, *idle: np.ndarray) -> tuple:
     if m < 1:
         raise ValueError("m must be >= 1")
     resource = uniform_state(m)
-    tm, ensemble = twirled_pair_ensemble(resource)
+    _, ensemble = twirled_pair_ensemble(resource)
     effects = discriminate(ensemble, criterion).effects
     r, n, qubit = len(effects), len(idle) + len(effects), GradedSpace.qubit()
     comp = CompositeSpace.of([resource.space, qubit, *(qubit,) * n])
-    position = np.argsort(tm.kron_index)
-    stacks = comp.lift(*((_KronView(eff, position), _qubit_swap(n, n - r + i, n - 1))
+    stacks = comp.lift(*((eff, _qubit_swap(n, n - r + i, n - 1))
                          for i, eff in enumerate(effects.values())))
     *labels, last = effects
     pointer = dict(zip(labels, np.eye(1 << r)[1 << np.arange(r - 1, 0, -1)]))

@@ -306,10 +306,10 @@ def cmd_ozawa(args) -> int:
         obs = Observable(sys_space, l_mat)
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
             n_s, n_a = (np.vdot(amp, amp).real for amp in (sys_amp, app_amp))
-            norm = n_s * n_a
-        if not 0.0 < norm < math.inf:
-            raise InputError(f"the product state's squared norm is {norm:g}; "
-                             "it must be finite and nonzero")
+        # a subnormal factor norm would overflow the normalisation below
+        if not all(sys.float_info.min <= n < math.inf for n in (n_s, n_a)):
+            raise InputError(f"the product state's squared norm is {n_s:g} * {n_a:g}; "
+                             "each factor's must be finite and normal")
         bound = ozawa_bound(obs, np.outer(sys_amp, sys_amp.conj()) / n_s,
                             PureState(app_space, app_amp / math.sqrt(n_a)))
     except ValueError as exc:

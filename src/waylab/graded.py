@@ -262,9 +262,10 @@ class BlockDiagonal:
             band[idx, :k], start[idx] = self.stacks[k], idx[:, :1]
         return band, start
 
-    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``to_dense()[rows, cols]`` for broadcastable indices >= 0, without the dense matrix."""
+    def __getitem__(self, key: tuple) -> np.ndarray:
+        """``to_dense()[rows, cols]`` by NumPy integer-array indexing, without the dense matrix."""
         band, start = self._band
+        rows, cols = (np.arange(self.space.total_dim)[k] for k in key)
         # a column outside the row's sector lands on a zero: -1 below it, past its dimension above
         return band[rows, np.minimum(np.maximum(cols - start[rows], -1), band.shape[1] - 1)]
 
@@ -339,9 +340,11 @@ class CompositeSpace:
     def lift(self, *terms: tuple[np.ndarray, np.ndarray]) -> dict[int, np.ndarray]:
         """Sector stacks of sum_t kron(a_t, b_t), where b_t acts on the trailing wires.
 
-        Entries a_t[i, i'] * b_t[j, j'] are summed in term order, as in ``matrix``
-        of the dense sum.  Entries between sectors are dropped: they vanish
-        when the sum conserves the charge.
+        ``a_t`` is read as ``a_t[rows, cols]`` by the leading wires' Kronecker
+        index: an ndarray, or a ``BlockDiagonal`` whose composite is in Kronecker
+        order.  Entries a_t[i, i'] * b_t[j, j'] are summed in term order, as in
+        ``matrix`` of the dense sum.  Entries between sectors are dropped: they
+        vanish when the sum conserves the charge.
         """
         def blocks(idx: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             i, j = divmod(self.kron_index[idx], len(b))

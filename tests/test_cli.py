@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -491,6 +492,25 @@ class TestOzawaCommand:
         assert base.returncode == 0 and json.loads(base.stdout)["bound"] > 0
         scaled = [[factor * re, factor * im] for re, im in self.BOUND_ONLY[field]]
         res = self.run_bound_only(tmp_path, **{field: scaled})
+        assert (res.returncode, res.stdout, res.stderr) == (0, base.stdout, "")
+
+    def test_bound_only_subnormal_factor_norm_exit_2_without_warning(self, tmp_path):
+        # a subnormal squared norm once overflowed the normalisation: three warnings, then nan
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = self.run_bound_only(tmp_path,
+                                      system_state=[[0.6e-160, 0], [0, 0.8e-160], [0, 0]])
+        assert caught == []
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: the product state's squared norm")
+        assert res.stderr.count("\n") == 1
+
+    def test_bound_only_small_normal_factors_print_same_bytes(self, tmp_path):
+        # each factor's squared norm is normal; their product, 1e-500, once was rejected as 0
+        base = self.run_bound_only(tmp_path)
+        scaled = {field: [[1e-125 * re, 1e-125 * im] for re, im in self.BOUND_ONLY[field]]
+                  for field in ("system_state", "apparatus_state")}
+        res = self.run_bound_only(tmp_path, **scaled)
         assert (res.returncode, res.stdout, res.stderr) == (0, base.stdout, "")
 
     @pytest.mark.parametrize("fields, error", [

@@ -101,6 +101,16 @@ class TestTensor:
         assert tm.space.dims == sp.dims
         assert np.array_equal(tm.kron_index, np.arange(sp.total_dim))
 
+    @pytest.mark.parametrize("make, param", [
+        *((uniform_state, m) for m in (1, 2, 7, 40)),
+        *((coherent_state, alpha) for alpha in (0.3, 1.0, 4.5, 12.0)),
+        *((opt_phase_state, m) for m in (1, 3, 16, 64)),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_resource_times_qubit_is_in_kronecker_order(self, make, param):
+        # the readout circuits read discriminate's effects on this composite by Kronecker index
+        tm = tensor(make(param).space, QUBIT)
+        assert np.array_equal(tm.kron_index, np.arange(tm.space.total_dim))
+
     def test_charge_additivity_of_index_map(self, rng):
         a = GradedSpace((0, 1, 2), (2, 1, 2))
         b = GradedSpace((0, 3), (1, 2))
@@ -530,7 +540,14 @@ class TestBlockDiagonal:
         rows, cols = rng.integers(0, d, size=(2, 7, 5))
         for r, c in ((rows, cols), (rows[:, :, None], cols[:, None, :]),
                      (np.arange(d)[:, None], np.arange(d)), (3, 4), (4, 4)):
-            assert b.entries(r, c).tobytes() == dense[r, c].tobytes()
+            assert b[r, c].tobytes() == dense[r, c].tobytes()
+        # as in NumPy, a negative index wraps (-1 once read a silent 0j) and one past d raises
+        wrapped = rng.integers(-d, d, size=(2, 7, 5))
+        for r, c in ((*wrapped,), (-1, -1), (-d, 1 - d), (3, -1)):
+            assert b[r, c].tobytes() == dense[r, c].tobytes()
+        for key in ((d, 0), (0, d)):
+            with pytest.raises(IndexError):
+                b[key]
 
     def test_matmul_rejects_a_block_diagonal_on_another_space(self):
         # same sector dimensions, other charges: the stacks would line up silently
