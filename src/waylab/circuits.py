@@ -57,12 +57,14 @@ class ConservingUnitary(BlockDiagonal):
     """Unitary on ``space``, held as its total-charge blocks.
 
     Being block diagonal, it commutes with the total charge by construction;
-    only unitarity is checked, one stacked product per sector dimension.
+    only unitarity is checked, one stacked product per sector dimension, and
+    the checked ``unitarity_deviation`` is kept as ``deviation``.
     """
 
     def __post_init__(self):
         super().__post_init__()
-        _require(unitarity_deviation(self), EPS_NUM, "matrix is not unitary within tolerance",
+        object.__setattr__(self, "deviation", unitarity_deviation(self))
+        _require(self.deviation, EPS_NUM, "matrix is not unitary within tolerance",
                  NumericalError)
 
     @property
@@ -142,14 +144,19 @@ class MeasurementModel:
                          for w, vec in zip(self.composite.wires, self.init))
         return supports, self._kron_position[np.ix_(*supports)].ravel()
 
-    def initial_density_full(self, system_rho: np.ndarray) -> np.ndarray:
-        """rho_system (x) apparatus-init, in the composite graded basis."""
+    def initial_density_block(self, system_rho: np.ndarray) -> np.ndarray:
+        """rho_system (x) apparatus-init on ``input_support``'s rows and columns."""
         rho = _check_density(system_rho, self.system_space.total_dim)
-        supports, rows = self.input_support
+        supports, _ = self.input_support
         # the same products, in wire order, as the full Kronecker product, on the support only
-        block = functools.reduce(np.kron, (
+        return functools.reduce(np.kron, (
             rho if vec is None else np.outer(vec[s], vec[s].conj())
             for vec, s in zip(self.init, supports)))
+
+    def initial_density_full(self, system_rho: np.ndarray) -> np.ndarray:
+        """rho_system (x) apparatus-init, in the composite graded basis."""
+        block = self.initial_density_block(system_rho)
+        _, rows = self.input_support
         out = np.zeros((self.composite.space.total_dim,) * 2, dtype=complex)
         out[rows[:, None], rows] = block
         return out
@@ -261,17 +268,31 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
     the system entries <s,a| . |s',a> are read.
     """
     v, (_, rows) = model.unitary, model.input_support
-    # the evolved state is b^dagger, from two products per sector on the operands the
-    # dense readout used, so that every printed bit is kept; (V rho)^dagger = rho V^dagger
-    # is zero off the input's support rows
-    a = v @ model.initial_density_full(system_state)
-    adjoint = np.zeros_like(a)
-    adjoint[rows] = np.conj(a[:, rows].T)
-    del a
-    b = v @ adjoint
+    space, d = v.space, v.space.total_dim
+    # The evolved state is b^dagger with b = V (V rho)^dagger: two products per sector over
+    # the dense readout's full inner dimensions, with only their columns cut.  The builders'
+    # V has imaginary parts of +0.0, and on such a left factor a column cut keeps every bit.
+    # V rho is formed on rho's nonzero columns, the support rows, which are also the only
+    # nonzero rows of (V rho)^dagger = rho V^dagger.
+    x = np.zeros((d, len(rows)), dtype=complex)
+    x[rows] = model.initial_density_block(system_state)
+    adjoint_rows = np.conj((v @ x).T)
+    # Only b's columns within `reach` charges of each row's sector are read: its diagonal
+    # and every <s,a| . |s',a>.  Each sector's rows take one band of `width` columns that
+    # holds them, from column start[i] on, and V multiplies (V rho)^dagger on that band.
+    sys_charges, charges = model.system_space.charges, np.array(space.charges)
+    reach = sys_charges[-1] - sys_charges[0]
+    offsets = np.cumsum((0, *space.dims))
+    first = offsets[np.searchsorted(charges, charges - reach)]
+    width = np.max(offsets[np.searchsorted(charges, charges + reach, side="right")] - first)
+    start = np.repeat(np.minimum(first, d - width), space.dims)
+    operand = np.zeros((d, width), dtype=complex)
+    operand[rows] = np.take_along_axis(adjoint_rows, start[rows, None] + np.arange(width), 1)
+    band = v @ operand  # band[i, j] = b[i, start[i] + j]
     pos = model.positions
-    diag = np.conj(np.diagonal(b))
-    coherences = np.conj(b[pos[None, :, :], pos[:, None, :]])  # <s,a| . |s',a> at [s, s', a]
+    diag = np.conj(band[np.arange(d), np.arange(d) - start])
+    # <s,a| . |s',a> at [s, s', a]
+    coherences = np.conj(band[pos[None, :, :], pos[:, None, :] - start[pos[None, :, :]]])
     out: dict[str, tuple[float, np.ndarray | None]] = {}
     for label, keep in model.outcome_masks.items():
         prob = float(np.real(np.sum(diag * keep)))

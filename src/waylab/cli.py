@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .circuits import (build_mle_unitary, build_repeatable_variant,
                        build_ud_unitary, model_manifest, simulate_measurement,
-                       unitarity_deviation, verify_conservation, verify_yanase)
+                       verify_conservation, verify_yanase)
 from .convert import (ChargeDistribution, charge_distribution,
                       deterministic_convertible, frameness_entropy,
                       variance_measure)
@@ -246,7 +246,7 @@ def cmd_circuit(args) -> int:
 
     cons = verify_conservation(model.unitary)
     yanase = verify_yanase(model)
-    unit = unitarity_deviation(model.unitary)
+    unit = model.unitary.deviation
     outcomes = simulate_measurement(model, rho_in)
     table = {}
     for label in sorted(outcomes):

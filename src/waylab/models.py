@@ -366,10 +366,13 @@ def ozawa_bound(observable: Observable, system_state: np.ndarray,
     joint = np.kron(_check_density(system_state, ds), apparatus.density())
     ns = np.kron(observable.space.charge_labels(), np.ones(da))
     na = np.kron(np.ones(ds), apparatus.space.charge_labels())
-    l_full = np.kron(observable.matrix, np.eye(da))
-
-    comm = l_full * ns - ns[:, None] * l_full
-    num = abs(np.trace(comm @ joint)) ** 2
+    # the joint is zero off the rows |s, a> with psi_A(a) != 0, so the trace reads only
+    # them: the rows sup of [L (x) 1, N_S], each product over the full inner dimension
+    sa = np.flatnonzero(apparatus.amplitudes)
+    sup = (np.arange(ds)[:, None] * da + sa).ravel()
+    l_rows = np.kron(observable.matrix, np.eye(da)[sa])
+    comm_rows = l_rows * ns - ns[sup, None] * l_rows
+    num = abs(_trace_on(comm_rows @ joint, sup)) ** 2
 
     def var(n: np.ndarray) -> float:
         mean = np.real(np.sum(n * joint.diagonal()))
@@ -401,5 +404,17 @@ def noise_of_model(unitary: BlockDiagonal, observable_full: np.ndarray, pointer:
         v = unitary.stacks[k]
         noise_op[idx[:, :, None], idx[:, None, :]] += (v.conj().swapaxes(1, 2)
                                                        * z[idx][:, None, :]) @ v
-    val = np.real(np.trace(noise_op @ noise_op @ rho))
+    # the trace reads the diagonal only where rho has a nonzero column (for a Hermitian
+    # input, a nonzero row), so only those rows of noise_op @ noise_op @ rho are formed
+    sup = np.flatnonzero(np.any(rho != 0, axis=0))
+    val = np.real(_trace_on(noise_op[sup] @ noise_op @ rho, sup))
     return float(max(val, 0.0))
+
+
+def _trace_on(rows: np.ndarray, sup: np.ndarray) -> complex:
+    """Trace of the d x d product whose rows ``sup`` are ``rows`` and whose other
+    diagonal entries are zero: they are scattered into zeros and summed with
+    ``np.sum``, the pairwise sum ``np.trace`` takes over the full diagonal."""
+    diag = np.zeros(rows.shape[1], dtype=complex)
+    diag[sup] = rows[np.arange(len(sup)), sup]
+    return np.sum(diag)

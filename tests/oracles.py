@@ -440,6 +440,35 @@ def dense_ozawa_bound(l_mat, system_space, system_rho, apparatus_space, apparatu
     return float(num / (4.0 * var(ns_full) + 4.0 * var(na_full)))
 
 
+def kron_ozawa_bound(observable, system_state, apparatus):
+    """``models.ozawa_bound`` as it was before the trace was cut to the input's support.
+
+    The full d x d joint, the full commutator [L (x) 1, N_S (x) 1] as scalings of
+    L (x) 1, and ``np.trace(comm @ joint)``: the dense form whose bits the bound keeps.
+    """
+    from waylab.graded import EPS_NUM, _check_density
+
+    ds = observable.space.total_dim
+    da = apparatus.space.total_dim
+    joint = np.kron(_check_density(system_state, ds), apparatus.density())
+    ns = np.kron(observable.space.charge_labels(), np.ones(da))
+    na = np.kron(np.ones(ds), apparatus.space.charge_labels())
+    l_full = np.kron(observable.matrix, np.eye(da))
+
+    comm = l_full * ns - ns[:, None] * l_full
+    num = abs(np.trace(comm @ joint)) ** 2
+
+    def var(n: np.ndarray) -> float:
+        mean = np.real(np.sum(n * joint.diagonal()))
+        second = np.real(np.sum(n * n * joint.diagonal()))
+        return max(second - mean ** 2, 0.0)
+
+    denom = 4.0 * var(ns) + 4.0 * var(na)
+    if not denom > EPS_NUM:  # NaN too
+        raise ValueError("bound undefined: conserved-quantity variances vanish")
+    return float(num / denom)
+
+
 def kron_initial_density(model, system_rho):
     """rho_system (x) apparatus-init in the composite basis, from the full Kronecker form.
 

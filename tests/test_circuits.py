@@ -8,15 +8,16 @@ import pytest
 
 from conftest import random_density, random_pure, random_unitary
 from oracles import (composite_readout_reference, dense_circuit_reference,
-                     dense_kron_unitary, kron_initial_density, outer_product_projectors,
-                     stacked_product)
-from waylab.circuits import (CompositeSpace, ConservingUnitary,
+                     dense_kron_unitary, kron_initial_density, kron_ozawa_bound,
+                     outer_product_projectors, stacked_product)
+from waylab.circuits import (PLUS_MINUS_OBSERVABLE, CompositeSpace, ConservingUnitary,
                              build_mle_unitary, build_repeatable_variant,
                              build_ud_unitary, model_manifest,
                              simulate_measurement, unitarity_deviation,
                              verify_conservation, verify_yanase)
 from waylab.discrimination import Criterion, discriminate
-from waylab.graded import EPS_NUM, BlockDiagonal, GradedSpace, g_twirl, tensor, uniform_state
+from waylab.graded import (EPS_NUM, BlockDiagonal, GradedSpace, Observable, g_twirl, tensor,
+                           uniform_state)
 from waylab.models import twirled_pair_ensemble
 
 E_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -37,6 +38,7 @@ class TestStructuralChecks:
         model = builder(m)
         u = model.unitary.matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-10
+        assert model.unitary.deviation == unitarity_deviation(model.unitary)  # kept, not redone
         assert verify_conservation(model.unitary) < 1e-10
         assert verify_yanase(model) < 1e-10
 
@@ -169,6 +171,31 @@ class TestPinnedReadout:
             assert any(0.0 < p < 1e-30 for p, _ in got.values())
 
 
+class TestPinnedReadoutAtTheLargestSizes(TestPinnedReadout):
+    """The same bits at the benchmark's largest models, where the products are cut most.
+
+    The readout, the noise and the bound read only the input's support there, 82
+    to 130 of 520 to 672 rows; the bound keeps the full-joint trace's bits.
+    """
+
+    LARGEST = [("ud", 40), ("mle", 64), ("repeatable", 20)]
+
+    @pytest.mark.parametrize("name", ["e+", "e-", "seeded-a"])
+    @pytest.mark.parametrize("kind, m", LARGEST)
+    def test_bits_match_the_dense_readout(self, kind, m, name):
+        super().test_bits_match_the_dense_readout(kind, m, name, None)
+
+    @pytest.mark.parametrize("name", ["e+", "e-", "seeded-a"])
+    @pytest.mark.parametrize("kind, m", LARGEST)
+    def test_bound_bits_match_the_kronecker_trace(self, kind, m, name):
+        model = built(kind, m)
+        rho = rho_of(PINNED_INPUTS[name])
+        apparatus = model.apparatus.pure(*(model.init[i] for i in model.apparatus_wires()))
+        want = kron_ozawa_bound(Observable(model.system_space, PLUS_MINUS_OBSERVABLE), rho,
+                                apparatus)
+        assert model.noise_bound(rho).hex() == want.hex()
+
+
 class TestScatteredInput:
     """The input is the full Kronecker product's support block, scattered into zeros."""
 
@@ -208,9 +235,10 @@ def test_sector_slice_products_match_the_stacked_products(n, rng):
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
 @pytest.mark.parametrize("run, bound", [
-    (lambda model, rho: model.noise(rho), 5.1),
-    (lambda model, rho: simulate_measurement(model, rho), 2.8),
-], ids=["noise", "simulate_measurement"])
+    (lambda model, rho: model.noise(rho), 3.8),
+    (lambda model, rho: model.noise_bound(rho), 3.0),
+    (lambda model, rho: simulate_measurement(model, rho), 1.0),
+], ids=["noise", "noise_bound", "simulate_measurement"])
 def test_traced_peak_within_dense_matrices(builder, run, bound):
     # the peak in units of one dense complex d x d matrix, 16 d^2 bytes
     model = builder(20)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure
-from oracles import coherent_mle_log_series, dense_ozawa_bound, supports_orthogonal
+from oracles import (coherent_mle_log_series, dense_ozawa_bound, kron_ozawa_bound,
+                     supports_orthogonal)
 from waylab.convert import (ChargeDistribution, Comparison, compare,
                             deterministic_convertible)
 from waylab.discrimination import Criterion, discriminate, perfect_discrimination_possible
@@ -355,6 +356,23 @@ class TestOzawaBound:
             want = dense_ozawa_bound(obs.matrix, sys_space, rho, app_space, app_vec)
             worst = max(worst, abs(got - want))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bits_match_the_kronecker_trace(self, seed):
+        # a complex L and an apparatus state with zero amplitudes, whose joint rows
+        # the trace skips: every bit of the full-joint trace is kept
+        rng = np.random.default_rng(seed)
+        sys_space, app_space = (
+            GradedSpace(sorted(rng.choice(np.arange(-2, 5), size=n, replace=False)),
+                        rng.integers(1, 4, size=n))
+            for n in rng.integers(2, 4, size=2))
+        ds, da = sys_space.total_dim, app_space.total_dim
+        obs = Observable(sys_space, random_hermitian(rng, ds))
+        rho = random_density(rng, ds, rank=int(rng.integers(1, ds + 1)))
+        app_vec = random_pure(rng, da)
+        app_vec[rng.permutation(da)[:rng.integers(1, da)]] = 0.0
+        app = PureState(app_space, app_vec / np.linalg.norm(app_vec))
+        assert ozawa_bound(obs, rho, app).hex() == kron_ozawa_bound(obs, rho, app).hex()
 
     def test_zero_denominator_rejected(self):
         obs = Observable(QUBIT, np.array([[0.0, 1.0], [1.0, 0.0]]))
