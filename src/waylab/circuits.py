@@ -134,6 +134,11 @@ class MeasurementModel:
         return pos.reshape(self.system_space.total_dim, -1)
 
     @functools.cached_property
+    def system_apparatus(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s, a) of each composite index: the inverse of ``positions``."""
+        return np.unravel_index(np.argsort(self.positions, axis=None), self.positions.shape)
+
+    @functools.cached_property
     def input_support(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Where every input rho_system (x) apparatus-init can be nonzero.
 
@@ -148,10 +153,11 @@ class MeasurementModel:
         """rho_system (x) apparatus-init on ``input_support``'s rows and columns."""
         rho = _check_density(system_rho, self.system_space.total_dim)
         supports, _ = self.input_support
-        # the same products, in wire order, as the full Kronecker product, on the support only
-        return functools.reduce(np.kron, (
-            rho if vec is None else np.outer(vec[s], vec[s].conj())
-            for vec, s in zip(self.init, supports)))
+        # np.kron's products in wire order, on the support only, without its per-call overhead
+        return functools.reduce(
+            lambda a, b: (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1),
+            (rho if vec is None else np.outer(vec[s], vec[s].conj())
+             for vec, s in zip(self.init, supports)))
 
     def initial_density_full(self, system_rho: np.ndarray) -> np.ndarray:
         """rho_system (x) apparatus-init, in the composite graded basis."""
@@ -161,14 +167,29 @@ class MeasurementModel:
         out[rows[:, None], rows] = block
         return out
 
+    @functools.cached_property
+    def band(self) -> tuple[int, np.ndarray]:
+        """(width, start): row i's band, its sector's reach, is ``width`` columns from start[i]."""
+        space, sys_charges = self.composite.space, self.system_space.charges
+        charges, reach = np.array(space.charges), sys_charges[-1] - sys_charges[0]
+        offsets = np.cumsum((0, *space.dims))
+        first = offsets[np.searchsorted(charges, charges - reach)]
+        width = np.max(offsets[np.searchsorted(charges, charges + reach, side="right")] - first)
+        return width, np.repeat(np.minimum(first, space.total_dim - width), space.dims)
+
     def noise(self, system_rho: np.ndarray) -> float:
         """Mean squared measurement noise of this model on a system input."""
         z = sum(POINTER_VALUES.get(label, 0.0) * keep
                 for label, keep in self.outcome_masks.items())
-        pos, d = self.positions, self.composite.space.total_dim
-        l_full = np.zeros((d, d), dtype=complex)
-        l_full[pos[:, None], pos[None]] = PLUS_MINUS_OBSERVABLE[..., None]  # L (x) 1, by index
-        return noise_of_model(self.unitary, l_full, z, self.initial_density_full(system_rho))
+        block, (_, rows) = self.initial_density_block(system_rho), self.input_support
+        keep = np.flatnonzero(np.any((block != 0) | (block.T != 0), axis=0))  # rho's support S
+        keep, (s, a), d = keep[np.argsort(rows[keep])], self.system_apparatus, len(z)
+        sup, rho_cols = rows[keep], np.zeros((d, len(keep)), dtype=complex)
+        rho_cols[rows] = block[:, keep]
+        # L (x) 1 links |s, a> to |s', a> only; L is real symmetric, so L[:, S] = L[S, :]^T
+        l_rows = np.zeros((len(sup), d), dtype=complex)
+        l_rows[np.arange(len(sup)), self.positions[:, a[sup]]] = PLUS_MINUS_OBSERVABLE[s[sup]].T
+        return noise_of_model(self.unitary, z, sup, l_rows, l_rows.T, rho_cols)
 
     def noise_bound(self, system_rho: np.ndarray) -> float:
         """Commutator lower bound evaluated on rho_system (x) apparatus init."""
@@ -268,7 +289,7 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
     the system entries <s,a| . |s',a> are read.
     """
     v, (_, rows) = model.unitary, model.input_support
-    space, d = v.space, v.space.total_dim
+    d = v.space.total_dim
     # The evolved state is b^dagger with b = V (V rho)^dagger: two products per sector over
     # the dense readout's full inner dimensions, with only their columns cut.  The builders'
     # V has imaginary parts of +0.0, and on such a left factor a column cut keeps every bit.
@@ -277,15 +298,9 @@ def simulate_measurement(model: MeasurementModel, system_state: np.ndarray
     x = np.zeros((d, len(rows)), dtype=complex)
     x[rows] = model.initial_density_block(system_state)
     adjoint_rows = np.conj((v @ x).T)
-    # Only b's columns within `reach` charges of each row's sector are read: its diagonal
-    # and every <s,a| . |s',a>.  Each sector's rows take one band of `width` columns that
-    # holds them, from column start[i] on, and V multiplies (V rho)^dagger on that band.
-    sys_charges, charges = model.system_space.charges, np.array(space.charges)
-    reach = sys_charges[-1] - sys_charges[0]
-    offsets = np.cumsum((0, *space.dims))
-    first = offsets[np.searchsorted(charges, charges - reach)]
-    width = np.max(offsets[np.searchsorted(charges, charges + reach, side="right")] - first)
-    start = np.repeat(np.minimum(first, d - width), space.dims)
+    # Only b's columns in each row's band (``model.band``) are read: its diagonal and every
+    # <s,a| . |s',a>.  V multiplies (V rho)^dagger on that band.
+    width, start = model.band
     operand = np.zeros((d, width), dtype=complex)
     operand[rows] = np.take_along_axis(adjoint_rows, start[rows, None] + np.arange(width), 1)
     band = v @ operand  # band[i, j] = b[i, start[i] + j]

@@ -372,7 +372,7 @@ def ozawa_bound(observable: Observable, system_state: np.ndarray,
     sup = (np.arange(ds)[:, None] * da + sa).ravel()
     l_rows = np.kron(observable.matrix, np.eye(da)[sa])
     comm_rows = l_rows * ns - ns[sup, None] * l_rows
-    num = abs(_trace_on(comm_rows @ joint, sup)) ** 2
+    num = abs(_trace_on((comm_rows @ joint)[np.arange(len(sup)), sup], sup, len(ns))) ** 2
 
     def var(n: np.ndarray) -> float:
         mean = np.real(np.sum(n * joint.diagonal()))
@@ -385,36 +385,45 @@ def ozawa_bound(observable: Observable, system_state: np.ndarray,
     return float(num / denom)
 
 
-def noise_of_model(unitary: BlockDiagonal, observable_full: np.ndarray, pointer: np.ndarray,
-                   input_state: np.ndarray) -> float:
-    """Mean squared noise <(V' Z V - L)^2> of a premeasurement model.
+def noise_of_model(unitary: BlockDiagonal, pointer: np.ndarray, support: np.ndarray,
+                   observable_rows: np.ndarray, observable_cols: np.ndarray,
+                   input_cols: np.ndarray) -> float:
+    """Mean squared noise <(V' Z V - L)^2> of a premeasurement model, on its input's support.
 
-    All operators live on the composite space of the block unitary V.  The
-    pointer Z is diagonal there and is given as its diagonal ``pointer``, the
-    outcome values (the measured eigenvalue on each success outcome, zero on
-    failure).  V' Z V is formed per sector stack as (V_k' z_k) V_k.
+    All operators live on the composite space of the block unitary V, and Z is given as
+    its diagonal ``pointer``: the measured eigenvalue on each success outcome, zero on
+    failure.  ``support`` S lists, increasing, where rho has a nonzero row or column; L
+    and rho come as L[S, :], L[:, S] and rho[:, S].  The products are the dense trace's
+    N N rho with only columns cut that meet zeros of rho; when V, Z and L are real, so
+    are their left factors, and the value has the bits of the dense trace.
     """
-    l_full = np.asarray(observable_full, dtype=complex)
-    rho = np.asarray(input_state, dtype=complex)
-    z = np.asarray(pointer)
-    if not (unitary.space.total_dim,) * 2 == l_full.shape == rho.shape == z.shape * 2:
+    sup, z, rho = np.asarray(support), np.asarray(pointer), np.asarray(input_cols, dtype=complex)
+    d, r = unitary.space.total_dim, len(sup)
+    if not (z.shape == (d,) and np.shape(observable_rows) == (r, d) == rho.T.shape
+            == np.shape(observable_cols)[::-1]):
         raise ValueError("operator dimensions do not match")
-    noise_op = -l_full
+    if not (sup.shape == (r,) and sup.dtype.kind in "iu" and np.all(sup[1:] > sup[:-1])
+            and np.all((sup >= 0) & (sup < d))):
+        raise ValueError("support must be strictly increasing indices in 0..d-1")
+    where = np.full(d, r)  # each index's row of N[S, :]; those off S land in row r, unread
+    where[sup] = np.arange(r)
+    rows, cols = np.zeros((r + 1, d), dtype=complex), np.zeros((d, r + 1), dtype=complex)
+    np.negative(observable_rows, out=rows[:r], dtype=complex)
+    np.negative(observable_cols, out=cols[:, :r], dtype=complex)
     for k, (_, idx) in unitary.space.groups.items():
-        v = unitary.stacks[k]
-        noise_op[idx[:, :, None], idx[:, None, :]] += (v.conj().swapaxes(1, 2)
-                                                       * z[idx][:, None, :]) @ v
-    # the trace reads the diagonal only where rho has a nonzero column (for a Hermitian
-    # input, a nonzero row), so only those rows of noise_op @ noise_op @ rho are formed
-    sup = np.flatnonzero(np.any(rho != 0, axis=0))
-    val = np.real(_trace_on(noise_op[sup] @ noise_op @ rho, sup))
-    return float(max(val, 0.0))
+        v, at = unitary.stacks[k], where[idx]
+        w = (v.conj().swapaxes(1, 2) * z[idx][:, None, :]) @ v
+        rows[at[:, :, None], idx[:, None, :]] += w
+        cols[idx[:, :, None], at[:, None, :]] += w
+    x = np.zeros((r, d), dtype=complex)
+    x[:, sup] = rows[:r] @ cols[:, :r]
+    return float(max(np.real(_trace_on(np.diagonal(x @ rho), sup, d)), 0.0))
 
 
-def _trace_on(rows: np.ndarray, sup: np.ndarray) -> complex:
-    """Trace of the d x d product whose rows ``sup`` are ``rows`` and whose other
-    diagonal entries are zero: they are scattered into zeros and summed with
-    ``np.sum``, the pairwise sum ``np.trace`` takes over the full diagonal."""
-    diag = np.zeros(rows.shape[1], dtype=complex)
-    diag[sup] = rows[np.arange(len(sup)), sup]
+def _trace_on(diagonal: np.ndarray, sup: np.ndarray, d: int) -> complex:
+    """Trace of a d x d product whose diagonal entries are ``diagonal`` on ``sup`` and
+    zero elsewhere: they are scattered into zeros and summed with ``np.sum``, the
+    pairwise sum ``np.trace`` takes over the full diagonal."""
+    diag = np.zeros(d, dtype=complex)
+    diag[sup] = diagonal
     return np.sum(diag)

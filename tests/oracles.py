@@ -544,6 +544,36 @@ def composite_readout_reference(model, system_rho):
     return {"outcomes": out, "noise": float(max(val, 0.0))}
 
 
+def closed_form_noise(kind, m, system_rho):
+    """Mean squared noise of the uniform-resource circuit ``kind`` at size m, in closed form.
+
+    ud and repeatable: 1/(m+1) on every input.  mle: 2(1 - x)/(m+1), x = <sigma_x>.
+
+    Derivation.  With N = V'ZV - L (x) 1, L = sigma_x and the apparatus in its start
+    state |A>, <N^2> = <V'Z^2V> - tr(M (L rho + rho L)) + tr(L^2 rho), where
+    M = <A| V'ZV |A> is a system operator and tr(L^2 rho) = 1.  V applies each effect
+    E_o of ``discriminate`` on resource (x) system (orthogonal projectors, see below)
+    together with a swap that moves the register excitation to configuration o, which Z
+    reads as z_o; the configurations are orthogonal Z eigenstates, so
+    <A| V'ZV |A> = sum_o z_o <R| E_o |R> and
+    <V'Z^2V> = sum_o z_o^2 P(o).  (Repeatable's restore stage is diagonal in the register
+    basis, so it commutes with Z and drops out.)  For the uniform resource
+    |R> = sum_k |k> / sqrt(m+1), the interior sectors n = 1..m hold the orthogonal pair
+    (|n, 0> +- |n-1, 1>)/sqrt(2), whose projectors are E_+ and E_-; each gives
+    <R|.|R> = |e+-><e+-| / (m+1), so <R| E_+- |R> = m/(m+1) |e+-><e+-|.  The edge
+    sectors |0, 0> and |m, 1> give <R|.|R> = 1/(m+1) in total; they fail for ud and go
+    to plus for mle.
+      ud:  M = m/(m+1) sigma_x and <V'Z^2V> = P(plus) + P(minus) = m/(m+1), so
+           <N^2> = m/(m+1) - 2m/(m+1) + 1 = 1/(m+1).
+      mle: M = m/(m+1) sigma_x + 1/(m+1), <V'Z^2V> = 1 and tr(L rho + rho L) = 2x, so
+           <N^2> = 1 - 2(m + x)/(m+1) + 1 = 2(1 - x)/(m+1).
+    """
+    if kind in ("ud", "repeatable"):
+        return 1.0 / (m + 1)
+    x = 2.0 * np.real(np.asarray(system_rho)[0, 1])  # <sigma_x> = 2 Re rho_01
+    return 2.0 * (1.0 - x) / (m + 1)
+
+
 # ---------------------------------------------------------------------------
 # discrimination
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_pure, random_unitary
-from oracles import (composite_readout_reference, dense_circuit_reference,
+from oracles import (closed_form_noise, composite_readout_reference, dense_circuit_reference,
                      dense_kron_unitary, kron_initial_density, kron_ozawa_bound,
                      outer_product_projectors, stacked_product)
 from waylab.circuits import (PLUS_MINUS_OBSERVABLE, CompositeSpace, ConservingUnitary,
@@ -196,6 +196,50 @@ class TestPinnedReadoutAtTheLargestSizes(TestPinnedReadout):
         assert model.noise_bound(rho).hex() == want.hex()
 
 
+_mixed = np.random.default_rng(37)
+MIXED_INPUTS = {f"mixed-{i}": random_density(_mixed, 2) for i in range(3)}
+
+
+class TestPinnedNoiseOnMixedInputs:
+    """The support-form noise keeps the dense trace's bits on full-rank inputs too."""
+
+    @pytest.mark.parametrize("name", MIXED_INPUTS)
+    @pytest.mark.parametrize("kind, m", [(kind, m) for kind, top in
+                                         (("ud", 40), ("mle", 64), ("repeatable", 20))
+                                         for m in (1, 5, 12, top)])
+    def test_bits_match_the_dense_trace(self, kind, m, name):
+        model, rho = built(kind, m), MIXED_INPUTS[name]
+        assert model.noise(rho).hex() == composite_readout_reference(model, rho)["noise"].hex()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_row_whose_column_is_zero_stays_in_the_support(self, kind):
+        # Hermitian only within tolerance: rho's second column is zero, its second row is
+        # not, and the dense trace reads that row through N N's second column
+        rho = np.array([[1.0, 0.0], [3e-11, 0.0]])
+        model = built(kind, 5)
+        assert model.noise(rho).hex() == composite_readout_reference(model, rho)["noise"].hex()
+
+
+class TestClosedFormNoise:
+    """The noise matches ``closed_form_noise`` at sizes past the dense references' reach."""
+
+    _seeded = np.random.default_rng(41)
+    INPUTS = {**{name: rho_of(vec) for name, vec in (
+        ("e+", E_PLUS), ("e-", E_MINUS), ("0", np.array([1.0, 0.0])),
+        ("1", np.array([0.0, 1.0])), ("+i", np.array([1.0, 1.0j]) / math.sqrt(2.0)),
+        ("seeded-a", random_pure(_seeded, 2)), ("seeded-b", random_pure(_seeded, 2)))},
+        "mixed": random_density(_seeded, 2)}
+
+    @pytest.mark.parametrize("kind, m", [(kind, m) for kind in KINDS
+                                         for m in (*range(1, 13), 16, 24, 40, 64, 100)
+                                         if kind != "repeatable" or m <= 40])
+    def test_noise_matches_the_closed_form(self, kind, m):
+        model = KINDS[kind](m)
+        for name, rho in self.INPUTS.items():
+            assert model.noise(rho) == pytest.approx(closed_form_noise(kind, m, rho),
+                                                     rel=0, abs=1e-12), name
+
+
 class TestScatteredInput:
     """The input is the full Kronecker product's support block, scattered into zeros."""
 
@@ -235,7 +279,7 @@ def test_sector_slice_products_match_the_stacked_products(n, rng):
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
 @pytest.mark.parametrize("run, bound", [
-    (lambda model, rho: model.noise(rho), 3.8),
+    (lambda model, rho: model.noise(rho), 2.0),
     (lambda model, rho: model.noise_bound(rho), 3.0),
     (lambda model, rho: simulate_measurement(model, rho), 1.0),
 ], ids=["noise", "noise_bound", "simulate_measurement"])

@@ -385,6 +385,12 @@ def one_sector(unitary):
     return BlockDiagonal(GradedSpace((0,), (4,)), {4: np.asarray(unitary)[None]})
 
 
+def noise_on_support(unitary, l_full, z, rho):
+    """``noise_of_model`` given dense L and rho, on rho's nonzero rows or columns S."""
+    sup = np.flatnonzero(np.any((rho != 0) | (rho.T != 0), axis=0))
+    return noise_of_model(unitary, z, sup, l_full[sup], l_full[:, sup], rho[:, sup])
+
+
 class TestNoiseOfModel:
     def test_perfect_commuting_model_zero_noise(self):
         # swap readout of a diagonal observable: V+ (I x Z) V = L x I exactly
@@ -397,7 +403,7 @@ class TestNoiseOfModel:
         l_full = np.kron(l_mat, np.eye(dim))
         z = np.kron(np.ones(dim), np.diag(l_mat))  # the diagonal of I x L
         rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
-        assert noise_of_model(one_sector(swap), l_full, z, rho) == pytest.approx(0.0, abs=1e-12)
+        assert noise_on_support(one_sector(swap), l_full, z, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_uninformative_model_noise_is_variance(self):
         # identity dynamics with a null pointer: noise^2 = <L^2>, which equals
@@ -405,7 +411,7 @@ class TestNoiseOfModel:
         l_mat = np.array([[0.0, 1.0], [1.0, 0.0]])
         l_full = np.kron(l_mat, np.eye(2))
         rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
-        noise = noise_of_model(one_sector(np.eye(4)), l_full, np.zeros(4), rho)
+        noise = noise_on_support(one_sector(np.eye(4)), l_full, np.zeros(4), rho)
         var_l = 1.0
         assert noise == pytest.approx(var_l, abs=1e-12)
 
@@ -414,7 +420,26 @@ class TestNoiseOfModel:
         l_full = np.kron(np.diag([0.5, -1.5]), np.eye(2))
         rho = np.eye(4) / 4
         with pytest.raises(ValueError, match="dimensions do not match"):
-            noise_of_model(one_sector(np.eye(4)), l_full, np.eye(4), rho)
+            noise_on_support(one_sector(np.eye(4)), l_full, np.eye(4), rho)
+
+    @pytest.mark.parametrize("support", [[1, 0], np.array([1, 0], dtype=np.uint64), [0, 0],
+                                         [-1, 2], [2, 4], [0.0, 1.0]],
+                             ids=["decreasing", "decreasing-unsigned", "repeated", "negative",
+                                  "past-d", "float"])
+    def test_support_must_be_increasing_indices_within_d(self, support):
+        l_full = np.kron(np.diag([0.5, -1.5]), np.eye(2))
+        rho = np.eye(4) / 4
+        sup = np.asarray(support)
+        with pytest.raises(ValueError, match="strictly increasing indices"):
+            noise_of_model(one_sector(np.eye(4)), np.zeros(4), sup, l_full[:2], l_full[:, :2],
+                           rho[:, :2])
+
+    def test_row_and_column_forms_must_match_the_support(self):
+        l_full = np.kron(np.diag([0.5, -1.5]), np.eye(2))
+        rho, sup = np.eye(4) / 4, np.array([0, 1, 2])
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            noise_of_model(one_sector(np.eye(4)), np.zeros(4), sup, l_full[:2], l_full[:, :3],
+                           rho[:, :3])
 
 
 class TestReferenceCurves:
